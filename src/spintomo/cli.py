@@ -3,8 +3,9 @@
 Output is deterministic for a fixed invocation: floats are printed with
 repr-faithful precision, JSON keys are sorted, and grids are evaluated in
 order.  Exit codes: 0 success, 1 usage error, 2 validation failure
-(malformed state data, rank-deficient plan, failed validation suite),
-3 numerical guard tripped (resonant cascade, flat design).
+(malformed state data, rank-deficient plan, failed validation suite,
+rejected pure fit), 3 numerical guard tripped (resonant cascade, flat
+design).
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from .qmat import (
     density_to_json,
     fidelity,
     ket_density,
+    kron,
     load_density,
     maximally_mixed,
     partial_trace,
@@ -45,7 +47,6 @@ from .scatter import (
     transmission_probability,
     two_impurity_block,
 )
-from .qmat import kron
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -11,13 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import DensityMatrix, PAULI_PAIRS, pauli, pauli_pair
+from .qmat import _I2, PAULI_BASIS, DensityMatrix, pauli
 
 UNITARY_TOL = 1e-12
 PHASE_EQ_TOL = 1e-10
 DEFAULT_ROTATION_ANGLE = np.pi / 2
-
-_I2 = np.eye(2, dtype=complex)
 
 _SQRT_SWAP = np.array([
     [1, 0, 0, 0],
@@ -207,9 +205,6 @@ def coefficient_transfer_matrix(seq: GateSequence) -> np.ndarray:
     For single-qubit Clifford gates T is a signed permutation.
     """
     u = sequence_unitary(seq)
-    t = np.empty((15, 15))
-    conj = [u.conj().T @ pauli_pair(i, j) @ u for i, j in PAULI_PAIRS]
-    for row, cm in enumerate(conj):
-        for col, (k, l) in enumerate(PAULI_PAIRS):
-            t[row, col] = np.trace(cm @ pauli_pair(k, l)).real / 4.0
-    return t
+    basis = PAULI_BASIS[1:]
+    conj = u.conj().T @ basis @ u
+    return np.einsum("rij,cji->rc", conj, basis).real / 4.0

@@ -68,6 +68,12 @@ def pauli_pair(i: int, j: int) -> np.ndarray:
     return np.kron(pauli(i), pauli(j))
 
 
+# All 16 two-qubit basis matrices, PAULI_BASIS[4*i + j] = sigma_i (x) sigma_j.
+# PAULI_BASIS[1:] holds the 15 PAULI_PAIRS slots in their fixed order.
+PAULI_BASIS = np.array([pauli_pair(i, j) for i in range(4) for j in range(4)])
+PAULI_BASIS.flags.writeable = False
+
+
 # sigma_1 . sigma_2 on the two-qubit space, the exchange operator's traceless part.
 SIGMA_DOT_SIGMA = sum(pauli_pair(k, k) for k in (1, 2, 3))
 SIGMA_DOT_SIGMA.flags.writeable = False
@@ -203,18 +209,14 @@ class PauliCoeffs:
 
     def vector(self) -> np.ndarray:
         """The 15 nontrivial coefficients in PAULI_PAIRS order."""
-        return np.array([self.a[i, j] for i, j in PAULI_PAIRS])
+        return self.a.ravel()[1:].copy()
 
     @classmethod
     def from_vector(cls, v) -> "PauliCoeffs":
         v = np.asarray(v, dtype=float)
         if v.shape != (15,):
             raise ValueError(f"expected 15 coefficients, got shape {v.shape}")
-        a = np.empty((4, 4))
-        a[0, 0] = 1.0
-        for val, (i, j) in zip(v, PAULI_PAIRS):
-            a[i, j] = val
-        return cls(a)
+        return cls(np.concatenate(([1.0], v)).reshape(4, 4))
 
 
 def decompose(rho: DensityMatrix) -> PauliCoeffs:
@@ -225,11 +227,8 @@ def decompose(rho: DensityMatrix) -> PauliCoeffs:
     """
     if rho.dim != 4:
         raise ValueError(f"decompose needs a two-qubit state, got dim {rho.dim}")
-    a = np.empty((4, 4))
-    for i in range(4):
-        for j in range(4):
-            a[i, j] = np.trace(rho.mat @ pauli_pair(i, j)).real
-    return PauliCoeffs(a)
+    a = np.einsum("ij,kji->k", rho.mat, PAULI_BASIS).real
+    return PauliCoeffs(a.reshape(4, 4))
 
 
 def assemble_array(coeffs) -> np.ndarray:
@@ -239,20 +238,12 @@ def assemble_array(coeffs) -> np.ndarray:
     else:
         arr = np.asarray(coeffs, dtype=float)
         if arr.shape == (15,):
-            a = np.empty((4, 4))
-            a[0, 0] = 1.0
-            for val, (i, j) in zip(arr, PAULI_PAIRS):
-                a[i, j] = val
+            a = np.concatenate(([1.0], arr))
         elif arr.shape == (4, 4):
             a = arr
         else:
             raise ValueError(f"expected PauliCoeffs, 15-vector or 4x4 array, got shape {arr.shape}")
-    mat = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            if a[i, j] != 0.0:
-                mat += a[i, j] * pauli_pair(i, j)
-    return mat / 4.0
+    return np.tensordot(np.ravel(a), PAULI_BASIS, axes=1) / 4.0
 
 
 def assemble(coeffs: PauliCoeffs) -> DensityMatrix:

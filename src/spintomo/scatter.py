@@ -21,7 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qmat import (
+    _I2,
     DensityMatrix,
+    decompose,
     kron,
     n_dot_sigma,
     pauli,
@@ -32,7 +34,6 @@ from .qmat import (
 UNITARITY_TOL = 1e-10
 CONDITION_LIMIT = 1e12
 
-_I2 = np.eye(2, dtype=complex)
 _I4 = np.eye(4, dtype=complex)
 
 # Exchange between the flying spin and one static spin, acting on
@@ -302,9 +303,8 @@ def pt_unpolarized_closed_form(params: ScatterParams, rho: DensityMatrix) -> flo
 def sigma_sum_expectation(rho: DensityMatrix) -> np.ndarray:
     """Components of <sigma_1 + sigma_2> for a two-qubit state."""
     _check_two_qubit(rho)
-    return np.array([
-        rho.expect(pauli_pair(k, 0) + pauli_pair(0, k)) for k in (1, 2, 3)
-    ])
+    a = decompose(rho).a
+    return a[1:, 0] + a[0, 1:]
 
 
 def transmitted_polarization(params: ScatterParams, rho: DensityMatrix) -> np.ndarray:

@@ -24,12 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import gates as g
 from .qmat import (
+    AXIS_VECTORS,
     DensityMatrix,
-    PauliCoeffs,
+    PAULI_BASIS,
     PAULI_PAIRS,
     assemble_array,
     decompose,
@@ -37,7 +37,6 @@ from .qmat import (
     maximally_mixed,
     partial_trace,
     pauli,
-    pauli_pair,
     polarized_qubit,
     unit_axis,
 )
@@ -211,12 +210,6 @@ def _effective_observable(block_t: np.ndarray, rho_f: np.ndarray) -> np.ndarray:
     return np.einsum("fsgu,gf->su", m, rho_f)
 
 
-def _contract_ancilla(e4: np.ndarray, rho_anc: np.ndarray) -> np.ndarray:
-    """Reduce a pair observable over a known ancilla in the first slot."""
-    m = e4.reshape(2, 2, 2, 2)
-    return np.einsum("atbu,ba->tu", m, rho_anc)
-
-
 def setting_row(setting: MeasurementSetting) -> tuple:
     """Design-matrix row and offset of one total-transmission setting.
 
@@ -230,15 +223,13 @@ def setting_row(setting: MeasurementSetting) -> tuple:
     block = two_impurity_block(setting.params)
     e_pair = _effective_observable(block.t, _flying_state(setting).mat)
     e_pair = g.conjugate_observable(setting.seq, e_pair)
+    # c[i, j] = trace(E sigma_i (x) sigma_j) / 4, so the value is sum_ij c_ij a_ij.
+    c = np.einsum("ij,kji->k", e_pair, PAULI_BASIS).real.reshape(4, 4) / 4.0
     if setting.ancilla_axis is not None:
-        e_t = _contract_ancilla(e_pair, polarized_qubit(setting.ancilla_axis).mat)
-        row = np.array([np.trace(e_t @ pauli(k)).real / 2.0 for k in (1, 2, 3)])
-        offset = float(np.trace(e_t).real / 2.0)
-    else:
-        row = np.array([np.trace(e_pair @ pauli_pair(i, j)).real / 4.0
-                        for i, j in PAULI_PAIRS])
-        offset = float(np.trace(e_pair).real / 4.0)
-    return row, offset
+        # The ancilla's coefficients (1, n) are known; contract them out.
+        c = np.concatenate(([1.0], setting.ancilla_axis)) @ c
+    c = c.ravel()
+    return c[1:], float(c[0])
 
 
 def build_design_matrix(plan_or_settings) -> tuple:
@@ -353,12 +344,6 @@ def reconstruct_two_qubit(records, plan: TomographyPlan) -> tuple:
     return rho, decompose(rho), diagnostics
 
 
-def _axes3():
-    return (("x", np.array([1.0, 0.0, 0.0])),
-            ("y", np.array([0.0, 1.0, 0.0])),
-            ("z", np.array([0.0, 0.0, 1.0])))
-
-
 def _gate_settings(params: ScatterParams) -> list:
     seqs = [
         ("identity", g.IDENTITY_SEQUENCE),
@@ -390,20 +375,20 @@ def _swap_settings(params: ScatterParams) -> list:
 
 def _polarized_settings(params: ScatterParams) -> list:
     out = []
-    for name, axis in _axes3():
+    for name, axis in AXIS_VECTORS.items():
         for sign in (+1, -1):
             out.append(MeasurementSetting(
                 params=params, injector_axis=axis, injector_sign=sign,
                 label=f"pol:{'+' if sign > 0 else '-'}{name}:identity"))
     for sign in (+1, -1):
-        for name, axis in _axes3()[1:]:  # y and z after X@2
+        for name in ("y", "z"):  # after X@2
             out.append(MeasurementSetting(
-                params=params, seq=g.sequence("X@2"), injector_axis=axis,
+                params=params, seq=g.sequence("X@2"), injector_axis=AXIS_VECTORS[name],
                 injector_sign=sign,
                 label=f"pol:{'+' if sign > 0 else '-'}{name}:X@2"))
         out.append(MeasurementSetting(
             params=params, seq=g.sequence("Y@2"),
-            injector_axis=np.array([1.0, 0.0, 0.0]), injector_sign=sign,
+            injector_axis=AXIS_VECTORS["x"], injector_sign=sign,
             label=f"pol:{'+' if sign > 0 else '-'}x:Y@2"))
     return out
 
@@ -417,13 +402,13 @@ def plan_standard(mode: str, params: ScatterParams) -> TomographyPlan:
     elif mode == "single_qubit_ancilla":
         settings = [MeasurementSetting(params=params, ancilla_axis=axis,
                                        label=f"anc:{name}")
-                    for name, axis in _axes3()]
+                    for name, axis in AXIS_VECTORS.items()]
     elif mode == "first_qubit_marginal":
         settings = [MeasurementSetting(params=params, ancilla_axis=axis,
                                        marginal_target=target,
                                        label=f"anc:{name}:{target}")
                     for target in ("first", "second")
-                    for name, axis in _axes3()]
+                    for name, axis in AXIS_VECTORS.items()]
     elif mode == "pure_state":
         settings = [MeasurementSetting(params=params, seq=s, label=f"u:{name}")
                     for name, s in [
@@ -435,7 +420,7 @@ def plan_standard(mode: str, params: ScatterParams) -> TomographyPlan:
                         ("Ry90@2", g.sequence("Ry90@2")),
                         ("Rz90@2", g.sequence("Rz90@2")),
                     ]]
-        for name, axis in _axes3():
+        for name, axis in AXIS_VECTORS.items():
             for sign in (+1, -1):
                 settings.append(MeasurementSetting(
                     params=params, injector_axis=axis, injector_sign=sign,
@@ -472,13 +457,8 @@ class PureStateParams:
             raise ValueError(f"amplitudes must be normalized, got sum of squares {nrm}")
 
     def ket(self) -> np.ndarray:
-        s2 = 1.0 / np.sqrt(2.0)
-        v = np.zeros(4, dtype=complex)
-        v[0] = self.a1 * np.exp(1j * self.th1)
-        v[1] = self.a2 * np.exp(1j * self.th2) * s2 + self.a3 * s2
-        v[2] = self.a2 * np.exp(1j * self.th2) * s2 - self.a3 * s2
-        v[3] = self.a4 * np.exp(1j * self.th4)
-        return v
+        return _pure_ket(np.array([self.a1, self.a2, self.a3, self.a4]),
+                         (self.th1, self.th2, self.th4))
 
     def density(self) -> DensityMatrix:
         v = self.ket()
@@ -493,15 +473,57 @@ class PureStateFit:
     unconstrained: tuple
 
 
+_S2 = 1.0 / np.sqrt(2.0)
+_B15 = PAULI_BASIS[1:]
+
+
+def _pure_ket(amps: np.ndarray, phases) -> np.ndarray:
+    """The PureStateParams ket for amplitudes (a1, a2, a3, a4) and phases
+    (th1, th2, th4).  It is linear in the amplitudes: a trailing axis on
+    amps gives one ket per column."""
+    e1, e2, e4 = np.exp(1j * np.asarray(phases, dtype=float))
+    a1, a2, a3, a4 = amps
+    return np.array([a1 * e1, _S2 * (a2 * e2 + a3), _S2 * (a2 * e2 - a3), a4 * e4])
+
+
 def _amps_from_angles(chi: np.ndarray) -> np.ndarray:
     c = np.cos(chi)
     s = np.sin(chi)
     return np.array([c[0], s[0] * c[1], s[0] * s[1] * c[2], s[0] * s[1] * s[2]])
 
 
+def _amps_jacobian(chi: np.ndarray) -> np.ndarray:
+    """d amps / d chi of _amps_from_angles, shape (4, 3)."""
+    c = np.cos(chi)
+    s = np.sin(chi)
+    return np.array([
+        [-s[0], 0.0, 0.0],
+        [c[0] * c[1], -s[0] * s[1], 0.0],
+        [c[0] * s[1] * c[2], s[0] * c[1] * c[2], -s[0] * s[1] * s[2]],
+        [c[0] * s[1] * s[2], s[0] * c[1] * s[2], s[0] * s[1] * c[2]],
+    ])
+
+
 def _coeff_vector(ket: np.ndarray) -> np.ndarray:
-    rho = np.outer(ket, ket.conj())
-    return np.array([np.trace(rho @ pauli_pair(i, j)).real for i, j in PAULI_PAIRS])
+    """The 15 Pauli coefficients <ket| sigma_i (x) sigma_j |ket>."""
+    return np.einsum("i,kij,j->k", ket.conj(), _B15, ket).real
+
+
+def _pure_residual(x, a, b, y, w) -> np.ndarray:
+    """Weighted misfit of the pure state at angles x = (chi1..3, th1, th2, th4)."""
+    ket = _pure_ket(_amps_from_angles(x[:3]), x[3:])
+    return w * (a @ _coeff_vector(ket) + b - y)
+
+
+def _pure_jacobian(x, a, b, y, w) -> np.ndarray:
+    """d _pure_residual / dx, from dc_k = 2 Re(v^dag P_k dv)."""
+    amps = _amps_from_angles(x[:3])
+    ket = _pure_ket(amps, x[3:])
+    # Amplitude columns d amps / d chi, then i a_k for the phase of each a_k.
+    cols = np.concatenate([_amps_jacobian(x[:3]), 1j * np.diag(amps)[:, [0, 1, 3]]], axis=1)
+    dket = _pure_ket(cols, x[3:])
+    dc = 2.0 * (np.conj(_B15 @ ket) @ dket).real
+    return w[:, None] * (a @ dc)
 
 
 def _wrap_phase(th: float) -> float:
@@ -546,25 +568,18 @@ def reconstruct_pure(records) -> PureStateFit:
     restarts if none of the branches lands cleanly.  branch_gap reports how
     far behind the best competing branch finished.  Phases of components
     with amplitude below 1e-6 are reported as unconstrained.  Noiseless
-    records that no branch can fit indicate a non-pure input state (or a
-    plan too thin to identify it) and raise PureFitError.
+    records that no branch can fit indicate a non-pure input state and
+    raise PureFitError; so do noiseless records that two different states
+    fit equally well, as the plan cannot identify the state then.
     """
+    # scipy.optimize takes about half a second to import and only this fit
+    # needs it.
+    from scipy.optimize import least_squares
+
     settings = [r.setting for r in records]
     a, b = build_design_matrix(settings)
     y = np.array([r.observed_value for r in records])
     w = _weights(records)
-
-    def residual(x):
-        # Build the ket inline; routing through PureStateParams would
-        # revalidate normalization on every optimizer step.
-        amps = _amps_from_angles(x[:3])
-        s2 = 1.0 / np.sqrt(2.0)
-        v = np.zeros(4, dtype=complex)
-        v[0] = amps[0] * np.exp(1j * x[3])
-        v[1] = amps[1] * np.exp(1j * x[4]) * s2 + amps[2] * s2
-        v[2] = amps[1] * np.exp(1j * x[4]) * s2 - amps[2] * s2
-        v[3] = amps[3] * np.exp(1j * x[5])
-        return w * (a @ _coeff_vector(v) + b - y)
 
     x_lin, _, _, _ = _solve_weighted(a, y - b, w)
     chi0 = _amplitude_seed(x_lin)
@@ -574,8 +589,9 @@ def reconstruct_pure(records) -> PureStateFit:
     upper = [np.pi / 2, np.pi / 2, np.pi / 2, 2 * np.pi, 2 * np.pi, 2 * np.pi]
 
     def run(x0):
-        res = least_squares(residual, x0, bounds=(lower, upper), xtol=1e-14,
-                            ftol=1e-14, gtol=1e-14)
+        res = least_squares(_pure_residual, x0, jac=_pure_jacobian,
+                            bounds=(lower, upper), xtol=1e-14, ftol=1e-14,
+                            gtol=1e-14, args=(a, b, y, w))
         return float(np.linalg.norm(res.fun)), res.x
 
     fits = [run(x0) for x0 in starts]
@@ -595,7 +611,19 @@ def reconstruct_pure(records) -> PureStateFit:
     if noiseless and best_res > 1e-6 * len(records):
         raise PureFitError(
             f"best residual {best_res:.3e} on noiseless records; the input "
-            "state is not pure (or the plan cannot identify it)")
+            "state is not pure")
+    if noiseless:
+        best_ket = _pure_ket(_amps_from_angles(best_x[:3]), best_x[3:])
+        for res, x in fits[1:]:
+            if res > best_res + 1e-9:
+                break
+            ket = _pure_ket(_amps_from_angles(x[:3]), x[3:])
+            overlap = abs(np.vdot(best_ket, ket)) ** 2
+            if overlap < 1.0 - 1e-8:
+                raise PureFitError(
+                    f"fits with residuals {best_res:.3e} and {res:.3e} reach "
+                    f"states of fidelity {overlap:.6f}; the plan cannot "
+                    "identify the state")
 
     amps = _amps_from_angles(best_x[:3])
     phases = [_wrap_phase(t) for t in best_x[3:]]

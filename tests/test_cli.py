@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -141,6 +144,21 @@ def test_tomo_pure_mode(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["fidelity"] > 1 - 1e-8
     assert rep["residual"] < 1e-6 * len(rep["records"])
+
+
+def test_tomo_pure_mode_unidentifiable_exit_2(capsys):
+    s = repr(float(np.sqrt(0.5)))
+    state = f"pure:{s},0,0,{s},0,0,{np.pi / 2!r}"
+    assert run(["tomo", "--mode", "pure_state", "--state", state]) == 2
+    assert "cannot identify" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, spintomo.cli; sys.exit('scipy.optimize' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_tomo_shots_deterministic(tmp_path):

@@ -356,6 +356,24 @@ def test_pure_fit_rejects_detectably_mixed_input():
         tomo.reconstruct_pure(tomo.run_plan(plan, mixed, 0))
 
 
+@pytest.mark.parametrize("phi", [np.pi / 2, 3 * np.pi / 4])
+def test_pure_fit_rejects_unidentifiable_ket(phi):
+    # The plan cannot tell (|00> + e^{i phi}|11>)/sqrt2 from a twin state
+    # with the same records; the fit must say so, not return either one.
+    plan = tomo.plan_standard("pure_state", PARAMS)
+    ket = np.array([1.0, 0.0, 0.0, np.exp(1j * phi)]) / np.sqrt(2.0)
+    with pytest.raises(tomo.PureFitError, match="cannot identify"):
+        tomo.reconstruct_pure(tomo.run_plan(plan, ket_density(ket), 0))
+
+
+@pytest.mark.parametrize("phi", [0.0, np.pi])
+def test_pure_fit_identifies_real_bell_kets(phi):
+    plan = tomo.plan_standard("pure_state", PARAMS)
+    rho = ket_density(np.array([1.0, 0.0, 0.0, np.exp(1j * phi)]) / np.sqrt(2.0))
+    fit = tomo.reconstruct_pure(tomo.run_plan(plan, rho, 0))
+    assert fidelity(rho, fit.params.density()) > 1 - 1e-8
+
+
 def test_serialization_roundtrips():
     plan = tomo.plan_standard("two_qubit_polarized", ScatterParams(0.7, 0.2))
     again = tomo.plan_from_json(tomo.plan_to_json(plan))
