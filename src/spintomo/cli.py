@@ -257,6 +257,8 @@ def cmd_tomo(args) -> int:
         raise UsageError(f"--mode must be one of {', '.join(tomo.MODES)}")
     if args.state is None:
         raise UsageError("--state is required")
+    if args.shots < 0:
+        raise UsageError("--shots must be nonnegative")
     if args.shots > 0 and args.seed is None:
         raise UsageError("--seed is required when shots > 0")
     report = _tomo_report(args)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,6 +39,8 @@ from .scatter import ScatterParams, qubit_block
 
 DEFAULT_MIRROR_PHASE = np.pi / 2
 TRACE_PRESERVATION_TOL = 1e-12
+# Distinct (params, mirror_phase) pairs whose reflection operators are kept.
+REFLECTION_CACHE_SIZE = 64
 
 _I4 = np.eye(4, dtype=complex)
 
@@ -79,11 +82,14 @@ class EngineConfig:
             raise ValueError("tol must be positive")
 
 
+@lru_cache(maxsize=REFLECTION_CACHE_SIZE)
 def reflection_channel(params: ScatterParams, mirror_phase: float) -> np.ndarray:
     """Total reflection operator R on (flying, static) for impurity plus mirror.
 
     R = r + t' m (I - r' m)^-1 t with m = -exp(i*mirror_phase) I.  Unitary:
-    every incoming amplitude eventually returns to the reservoir.
+    every incoming amplitude eventually returns to the reservoir.  Built once
+    per (params, mirror_phase) and served read-only from a bounded cache, so
+    a cycle's collisions share one operator.
     """
     blk = qubit_block(params)
     m = -np.exp(1j * mirror_phase) * _I4
@@ -93,6 +99,7 @@ def reflection_channel(params: ScatterParams, mirror_phase: float) -> np.ndarray
     err = np.max(np.abs(r_tot.conj().T @ r_tot - _I4))
     if err > 1e-10:
         raise RuntimeError(f"reflection operator not unitary: deviation {err:.3e}")
+    r_tot.flags.writeable = False
     return r_tot
 
 

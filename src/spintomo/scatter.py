@@ -17,6 +17,7 @@ the (|0>=up, |1>=down) basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,6 +34,9 @@ from .qmat import (
 
 UNITARITY_TOL = 1e-10
 CONDITION_LIMIT = 1e12
+# Distinct ScatterParams whose two-impurity blocks are kept; a tomography
+# plan shares one, so a handful of entries serves any run.
+BLOCK_CACHE_SIZE = 64
 
 _I4 = np.eye(4, dtype=complex)
 
@@ -247,8 +251,14 @@ def cascade(b1: ScatterBlock, b2: ScatterBlock, params: ScatterParams) -> Scatte
     return ScatterBlock(r=r_c, t=t_c, r_prime=rp_c, t_prime=tp_c)
 
 
+@lru_cache(maxsize=BLOCK_CACHE_SIZE)
 def two_impurity_block(params: ScatterParams) -> ScatterBlock:
-    """Cascade of two identical qubit impurities on (flying, q1, q2)."""
+    """Cascade of two identical qubit impurities on (flying, q1, q2).
+
+    Built once per distinct params and then served from a bounded cache:
+    ScatterParams is frozen and the block's arrays are read-only, so equal
+    params may share one block.
+    """
     b1 = embed_block(qubit_block(params), "first")
     b2 = embed_block(qubit_block(params), "second")
     return cascade(b1, b2, params)

@@ -4,9 +4,10 @@ A measurement setting fixes the scattering parameters, the gate sequence
 applied to the static register beforehand, and the flying-spin injector and
 detector polarizations.  Every setting used for reconstruction has a total
 transmission readout, whose ideal value is affine in the unknown state; the
-design matrix is built generically by conjugating the setting's effective
+design row is built generically by conjugating the setting's effective
 observable with its gate sequence and decomposing in the Pauli basis, so no
-hand-derived coefficient formulas enter the inversion.
+hand-derived coefficient formulas enter the inversion.  Each setting builds
+its row once, and the same row both simulates its readout and inverts it.
 
 Supported reconstruction modes:
 
@@ -22,6 +23,7 @@ Supported reconstruction modes:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from .qmat import (
     PAULI_BASIS,
     PAULI_PAIRS,
     assemble_array,
+    bloch,
     decompose,
     kron,
     maximally_mixed,
@@ -95,6 +98,11 @@ class MeasurementSetting:
         if self.marginal_target not in (None, "first", "second"):
             raise ValueError(f"marginal_target must be first/second, got {self.marginal_target!r}")
 
+    @cached_property
+    def _affine(self) -> tuple:
+        # A setting is immutable, so its design row is built on first use only.
+        return _build_row(self)
+
 
 @dataclass(frozen=True, eq=False)
 class MeasurementRecord:
@@ -138,14 +146,35 @@ def _static_pair(setting: MeasurementSetting, rho: DensityMatrix) -> DensityMatr
     return g.apply(setting.seq, pair)
 
 
+def _unknowns(setting: MeasurementSetting, rho: DensityMatrix) -> np.ndarray:
+    """The coordinates of rho that the setting's row acts on: the 15 Pauli
+    coefficients of a register, or the Bloch vector of an ancilla's target."""
+    if setting.ancilla_axis is None:
+        if rho.dim != 4:
+            raise ValueError(f"register settings need a two-qubit state, got dim {rho.dim}")
+        return decompose(rho).a.ravel()[1:]
+    target = rho
+    if setting.marginal_target is not None:
+        target = partial_trace(rho, setting.marginal_target)
+    if target.dim != 2:
+        raise ValueError("ancilla settings probe a one-qubit target")
+    return np.array(bloch(target))
+
+
 def ideal_value(setting: MeasurementSetting, rho: DensityMatrix) -> float:
-    """Noise-free value of the setting's readout on the given true state."""
+    """Noise-free value of the setting's readout on the given true state.
+
+    A total transmission is offset + row . unknowns with the setting's
+    design row; a conditional polarization is computed on the full
+    (flying, q1, q2) space.
+    """
+    if setting.detector_axis is None:
+        row, offset = setting_row(setting)
+        return offset + float(row @ _unknowns(setting, rho))
     pair = _static_pair(setting, rho)
     block = two_impurity_block(setting.params)
     full = DensityMatrix(kron(_flying_state(setting).mat, pair.mat))
     pt = transmission_probability(block, full)
-    if setting.detector_axis is None:
-        return pt
     if pt <= 0.0:
         raise RuntimeError("no transmission; conditional polarization undefined")
     out = block.t @ full.mat @ block.t.conj().T
@@ -215,8 +244,13 @@ def setting_row(setting: MeasurementSetting) -> tuple:
 
     For register settings the row has 15 entries (the value is
     offset + row . a-vector); for ancilla settings it has 3 entries against
-    the target qubit's Bloch vector.
+    the target qubit's Bloch vector.  The row is built once per setting and
+    is read-only.
     """
+    return setting._affine
+
+
+def _build_row(setting: MeasurementSetting) -> tuple:
     if setting.detector_axis is not None:
         raise ValueError("conditional polarization readouts are not affine; "
                          "use +-axis injection settings instead")
@@ -229,7 +263,9 @@ def setting_row(setting: MeasurementSetting) -> tuple:
         # The ancilla's coefficients (1, n) are known; contract them out.
         c = np.concatenate(([1.0], setting.ancilla_axis)) @ c
     c = c.ravel()
-    return c[1:], float(c[0])
+    row = c[1:]
+    row.flags.writeable = False
+    return row, float(c[0])
 
 
 def build_design_matrix(plan_or_settings) -> tuple:
@@ -570,7 +606,9 @@ def reconstruct_pure(records) -> PureStateFit:
     with amplitude below 1e-6 are reported as unconstrained.  Noiseless
     records that no branch can fit indicate a non-pure input state and
     raise PureFitError; so do noiseless records that two different states
-    fit equally well, as the plan cannot identify the state then.
+    fit equally well, as the plan cannot identify the state then.  Besides
+    the fits themselves, the complex conjugate of the best state is always
+    tried as such a twin.
     """
     # scipy.optimize takes about half a second to import and only this fit
     # needs it.
@@ -614,9 +652,13 @@ def reconstruct_pure(records) -> PureStateFit:
             "state is not pure")
     if noiseless:
         best_ket = _pure_ket(_amps_from_angles(best_x[:3]), best_x[3:])
-        for res, x in fits[1:]:
+        # Besides the fits, try the complex-conjugate ket (the best fit with
+        # its phases negated): a twin that no sign branch need reach.
+        x_conj = np.concatenate([best_x[:3], -best_x[3:]])
+        conj_res = float(np.linalg.norm(_pure_residual(x_conj, a, b, y, w)))
+        for res, x in fits[1:] + [(conj_res, x_conj)]:
             if res > best_res + 1e-9:
-                break
+                continue
             ket = _pure_ket(_amps_from_angles(x[:3]), x[3:])
             overlap = abs(np.vdot(best_ket, ket)) ** 2
             if overlap < 1.0 - 1e-8:

@@ -56,6 +56,12 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
+def test_negative_shots_exit_1(capsys):
+    assert run(["tomo", "--mode", "two_qubit_gates", "--state", "singlet",
+                "--shots", "-5", "--seed", "1"]) == 1
+    assert "usage error: --shots" in capsys.readouterr().err
+
+
 def test_malformed_state_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")

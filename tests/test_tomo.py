@@ -386,3 +386,14 @@ def test_serialization_roundtrips():
     back = tomo.record_from_json(tomo.record_to_json(rec))
     assert back.observed_value == rec.observed_value
     assert back.standard_error == rec.standard_error
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 6, 7])
+@pytest.mark.parametrize("omega", [0.7, 1.0])
+def test_pure_fit_rejects_conjugate_twin(omega, k):
+    # (|00> + e^{i k pi/4}|11>)/sqrt2 and its complex conjugate give the same
+    # records; the refusal must not depend on which of them the fits reach.
+    plan = tomo.plan_standard("pure_state", ScatterParams(omega))
+    ket = np.array([1.0, 0.0, 0.0, np.exp(1j * k * np.pi / 4)]) / np.sqrt(2.0)
+    with pytest.raises(tomo.PureFitError, match="cannot identify"):
+        tomo.reconstruct_pure(tomo.run_plan(plan, ket_density(ket), 0))
