@@ -16,14 +16,11 @@ import sys
 import numpy as np
 
 from . import engine as eng
-from . import gates as g
 from . import tomo
 from .qmat import (
     DensityMatrix,
     InvalidStateError,
     bloch_density,
-    decompose,
-    density_from_json,
     density_to_json,
     fidelity,
     ket_density,
@@ -43,15 +40,21 @@ from .scatter import (
     cascade,
     frozen_block,
     frozen_pair_pt,
+    full_input_state,
     pt_unpolarized_closed_form,
     transmission_probability,
     two_impurity_block,
+    two_impurity_cascade,
 )
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
+
+# Grid points evaluated in one stacked pass; a point holds about 25 kB of
+# intermediate blocks, so longer sweeps run in slices of this many points.
+SWEEP_SLICE = 1024
 
 
 class UsageError(ValueError):
@@ -143,6 +146,22 @@ def _write_lines(path, lines) -> None:
             fh.write(text)
 
 
+def _slices(*columns):
+    """The grid columns in slices of SWEEP_SLICE points; scalar columns pass
+    whole.  Each slice is one stacked pass, so a long sweep's memory stays
+    bounded."""
+    n = max(np.size(c) for c in columns)
+    for i in range(0, n, SWEEP_SLICE):
+        yield tuple(c[i:i + SWEEP_SLICE] if np.ndim(c) else c for c in columns)
+
+
+def _rows(*columns) -> list:
+    """CSV rows of the broadcast columns, every value printed as _fmt does."""
+    row_format = ",".join(["%.17g"] * len(columns))
+    table = np.stack(np.broadcast_arrays(*columns), axis=-1).tolist()
+    return [row_format % tuple(row) for row in table]
+
+
 def cmd_sweep(args) -> int:
     ranged = [name for name in ("omega_range", "theta_range", "kd_range")
               if getattr(args, name) is not None]
@@ -151,24 +170,22 @@ def cmd_sweep(args) -> int:
     axis = ranged[0]
     kd = args.kd
 
-    lines = []
+    # A point that fails a check refuses the whole grid before any line is
+    # written.
+    unpolarized = maximally_mixed(2)
     if axis == "theta_range":
         if args.omega is None:
             raise UsageError("--theta-range sweeps need --omega")
         thetas = parse_range(args.theta_range)
-        if len(thetas) == 0:
-            raise UsageError("empty theta range")
-        lines.append("theta,omega,kd,pt_closed_form,pt_matrix,abs_diff")
+        lines = ["theta,omega,kd,pt_closed_form,pt_matrix,abs_diff"]
         kd0 = ScatterParams(args.omega, 0.0)
         params = ScatterParams(args.omega, kd)
-        for th in thetas:
+        aligned = frozen_block(params, FrozenSpin.from_angles(0.0))
+        for (th,) in _slices(thetas):
             closed = frozen_pair_pt(kd0, th)
-            b1 = frozen_block(params, FrozenSpin.from_angles(0.0))
-            b2 = frozen_block(params, FrozenSpin.from_angles(th))
-            block = cascade(b1, b2, params)
-            matrix = transmission_probability(block, maximally_mixed(2))
-            lines.append(",".join(_fmt(v) for v in
-                                  (th, args.omega, kd, closed, matrix, abs(closed - matrix))))
+            block = cascade(aligned, frozen_block(params, FrozenSpin.from_angles(th)), params)
+            matrix = transmission_probability(block, unpolarized)
+            lines += _rows(th, args.omega, kd, closed, matrix, abs(closed - matrix))
     else:
         if args.state is None:
             raise UsageError("state sweeps need --state")
@@ -176,24 +193,18 @@ def cmd_sweep(args) -> int:
         if rho.dim != 4:
             raise UsageError("sweeps expect a two-qubit state")
         if axis == "omega_range":
-            omegas = parse_range(args.omega_range)
-            kds = np.full(len(omegas), kd)
+            omegas, kds = parse_range(args.omega_range), kd
         else:
             if args.omega is None:
                 raise UsageError("--kd-range sweeps need --omega")
-            kds = parse_range(args.kd_range)
-            omegas = np.full(len(kds), args.omega)
-        if len(omegas) == 0:
-            raise UsageError("empty sweep range")
-        lines.append("omega,kd,pt_closed_form,pt_matrix,abs_diff")
-        flying = maximally_mixed(2)
-        for om, kd_i in zip(omegas, kds):
+            omegas, kds = args.omega, parse_range(args.kd_range)
+        lines = ["omega,kd,pt_closed_form,pt_matrix,abs_diff"]
+        full = full_input_state(unpolarized, rho)
+        for om, kd_i in _slices(omegas, kds):
             closed = pt_unpolarized_closed_form(ScatterParams(om, 0.0), rho)
-            block = two_impurity_block(ScatterParams(om, kd_i))
-            matrix = transmission_probability(
-                block, DensityMatrix(kron(flying.mat, rho.mat)))
-            lines.append(",".join(_fmt(v) for v in
-                                  (om, kd_i, closed, matrix, abs(closed - matrix))))
+            block = two_impurity_cascade(ScatterParams(om, kd_i))
+            matrix = transmission_probability(block, full)
+            lines += _rows(om, kd_i, closed, matrix, abs(closed - matrix))
     _write_lines(args.out, lines)
     return EXIT_OK
 
@@ -340,7 +351,7 @@ def _suite_two_impurity(rng, eq4_evaluator=None) -> tuple:
         params = ScatterParams(om, 0.0)
         rho = random_density(4, rng)
         block = two_impurity_block(params)
-        pt = transmission_probability(block, DensityMatrix(kron(flying.mat, rho.mat)))
+        pt = transmission_probability(block, full_input_state(flying, rho))
         worst = max(worst, abs(pt - evaluator(params, rho)))
     return worst, 1e-10
 
@@ -358,7 +369,7 @@ def _suite_basis_invariance(rng) -> tuple:
         u = random_unitary(2, rng)
         uu = kron(u, u)
         rho_rot = DensityMatrix(uu @ rho.mat @ uu.conj().T)
-        p1 = transmission_probability(block, DensityMatrix(kron(flying.mat, rho.mat)))
+        p1 = transmission_probability(block, full_input_state(flying, rho))
         p2 = transmission_probability(block, DensityMatrix(kron(
             (u @ flying.mat @ u.conj().T), rho_rot.mat)))
         worst = max(worst, abs(p1 - p2))

@@ -9,6 +9,12 @@ reservoir pump the qubit toward the aligned pure state; collisions with an
 unpolarized (non-magnetic) reservoir relax it back to the maximally mixed
 state, extracting up to ln 2 of entropy per cycle.
 
+Tracing out the reservoir spin leaves an affine map v -> M v + c on the
+static qubit's Bloch vector; a cycle builds it once per reservoir, checks it
+once (its Choi matrix must be trace preserving and positive semidefinite),
+and then iterates the map.  interact_once is the same collision on density
+matrices, one at a time.
+
 The mirror contributes m = -exp(i*mirror_phase) * I, where mirror_phase is
 the round-trip propagation phase to the gate.  At mirror_phase = 0 the
 multiple-scattering series collapses to R = -I for every omega: the impurity
@@ -18,20 +24,24 @@ default working point is a quarter-wave spacing, mirror_phase = pi/2.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .qmat import (
+    ENTROPY_EIGENVALUE_FLOOR,
+    PSD_TOL,
     BlochVector,
     DensityMatrix,
     bloch,
+    bloch_density,
     kron,
     maximally_mixed,
+    pauli,
     polarized_qubit,
     ptrace,
-    trace_distance,
     unit_axis,
     von_neumann_entropy,
 )
@@ -39,10 +49,13 @@ from .scatter import ScatterParams, qubit_block
 
 DEFAULT_MIRROR_PHASE = np.pi / 2
 TRACE_PRESERVATION_TOL = 1e-12
+# A Bloch vector longer than 1 + BLOCH_BALL_TOL is not a state.
+BLOCH_BALL_TOL = 1e-12
 # Distinct (params, mirror_phase) pairs whose reflection operators are kept.
 REFLECTION_CACHE_SIZE = 64
 
 _I4 = np.eye(4, dtype=complex)
+_SIGMA = np.array([pauli(k) for k in range(4)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,6 +64,7 @@ class Reservoir:
 
     kind: str
     axis: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
+    _state: DensityMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("polarized", "unpolarized"):
@@ -59,11 +73,12 @@ class Reservoir:
         n = n.copy()
         n.flags.writeable = False
         object.__setattr__(self, "axis", n)
+        state = polarized_qubit(n) if self.kind == "polarized" else maximally_mixed(2)
+        object.__setattr__(self, "_state", state)
 
     def state(self) -> DensityMatrix:
-        if self.kind == "polarized":
-            return polarized_qubit(self.axis)
-        return maximally_mixed(2)
+        """The spin state the reservoir emits, built and validated once."""
+        return self._state
 
 
 @dataclass(frozen=True)
@@ -117,6 +132,41 @@ def interact_once(rho_s: DensityMatrix, reservoir: Reservoir,
     return DensityMatrix(ptrace(out, [2, 2], [1]))
 
 
+def bloch_map(reservoir: Reservoir, config: EngineConfig) -> tuple:
+    """One collision as the affine map v -> M v + c on the static Bloch vector.
+
+    The channel rho -> Tr_res[R (rho_res (x) rho) R^dag] is built as its Choi
+    matrix J[(a, s), (b, t)] = Phi(|a><b|)[s, t] and checked once: J must be
+    trace preserving (Tr_out J = I) and positive semidefinite (completely
+    positive).  Then M[i, j] = Tr[sigma_i Phi(sigma_j)] / 2 and
+    c[i] = Tr[sigma_i Phi(I)] / 2.  Returns read-only (M, c).
+    """
+    r = reflection_channel(config.params, config.mirror_phase).reshape(2, 2, 2, 2)
+    choi = np.einsum("fsxa,xy,ftyb->asbt", r, reservoir.state().mat, r.conj())
+    tp_err = np.max(np.abs(np.einsum("asbs->ab", choi) - np.eye(2)))
+    if tp_err > TRACE_PRESERVATION_TOL:
+        raise RuntimeError(f"collision channel breaks trace preservation by {tp_err:.3e}")
+    min_eig = np.linalg.eigvalsh(choi.reshape(4, 4)).min()
+    if min_eig < PSD_TOL:
+        raise RuntimeError(f"collision channel is not completely positive: "
+                           f"Choi eigenvalue {min_eig:.3e}")
+    affine = 0.5 * np.einsum("its,jab,asbt->ij", _SIGMA, _SIGMA, choi).real
+    m, c = affine[1:, 1:], affine[1:, 0]
+    m.flags.writeable = False
+    c.flags.writeable = False
+    return m, c
+
+
+def _entropy_of_bloch_norm(norm: float) -> float:
+    """von Neumann entropy (nats) of a qubit whose Bloch vector has this norm:
+    its eigenvalues are (1 -+ norm) / 2."""
+    entropy = 0.0
+    for p in (0.5 * (1.0 - norm), 0.5 * (1.0 + norm)):
+        if p > ENTROPY_EIGENVALUE_FLOOR:
+            entropy -= p * math.log(p)
+    return entropy
+
+
 @dataclass(frozen=True)
 class CycleStep:
     iteration: int
@@ -149,21 +199,29 @@ class CycleTrace:
                 ])
 
 
-def _run_phase(rho: DensityMatrix, reservoir: Reservoir, target: DensityMatrix,
+def _run_phase(v: np.ndarray, reservoir: Reservoir, target: np.ndarray,
                config: EngineConfig, phase: str, steps: list) -> tuple:
+    """Iterate the reservoir's Bloch map from v until within tol of target.
+
+    The residual is the trace distance |v - target| / 2; every step is
+    guarded to stay inside the Bloch ball.
+    """
+    m, c = bloch_map(reservoir, config)
+    target = target.tolist()
     converged = False
-    resid = trace_distance(rho, target)
-    iters = 0
     for i in range(1, config.max_iters + 1):
-        rho = interact_once(rho, reservoir, config)
-        iters = i
-        resid = trace_distance(rho, target)
-        steps.append(CycleStep(iteration=i, phase=phase, bloch=bloch(rho),
-                               entropy_nats=von_neumann_entropy(rho)))
+        v = m @ v + c
+        x = v.tolist()
+        norm = math.hypot(*x)
+        if norm > 1.0 + BLOCH_BALL_TOL:
+            raise RuntimeError(f"collision left the Bloch ball: |v| = {norm!r}")
+        resid = 0.5 * math.dist(x, target)
+        steps.append(CycleStep(iteration=i, phase=phase, bloch=BlochVector(*x),
+                               entropy_nats=_entropy_of_bloch_norm(norm)))
         if resid < config.tol:
             converged = True
             break
-    return rho, iters, converged, resid
+    return v, i, converged, resid
 
 
 def run_cycle(initial: DensityMatrix, config: EngineConfig,
@@ -178,21 +236,21 @@ def run_cycle(initial: DensityMatrix, config: EngineConfig,
     nm = Reservoir(kind="unpolarized")
     steps: list = []
 
-    rho = initial
-    steps.append(CycleStep(iteration=0, phase="FM", bloch=bloch(rho),
-                           entropy_nats=von_neumann_entropy(rho)))
-    rho, fm_iters, fm_ok, fm_resid = _run_phase(
-        rho, fm, polarized_qubit(fm.axis), config, "FM", steps)
-    s_fm_end = von_neumann_entropy(rho)
+    start = bloch(initial)
+    steps.append(CycleStep(iteration=0, phase="FM", bloch=start,
+                           entropy_nats=von_neumann_entropy(initial)))
+    v, fm_iters, fm_ok, fm_resid = _run_phase(
+        start.as_array(), fm, fm.axis, config, "FM", steps)
+    s_fm_end = steps[-1].entropy_nats
 
-    rho, nm_iters, nm_ok, nm_resid = _run_phase(
-        rho, nm, maximally_mixed(2), config, "NM", steps)
-    s_nm_end = von_neumann_entropy(rho)
+    v, nm_iters, nm_ok, nm_resid = _run_phase(
+        v, nm, np.zeros(3), config, "NM", steps)
+    s_nm_end = steps[-1].entropy_nats
 
     return CycleTrace(
         steps=tuple(steps),
         fm_iterations=fm_iters, fm_converged=fm_ok, fm_residual=fm_resid,
         nm_iterations=nm_iters, nm_converged=nm_ok, nm_residual=nm_resid,
         entropy_transferred_nats=s_nm_end - s_fm_end,
-        final_state=rho,
+        final_state=bloch_density(v),
     )

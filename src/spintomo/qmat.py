@@ -19,6 +19,8 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = -1e-10
 COEFF_TOL = 1e-9
+# Eigenvalues at or below this are left out of entropies.
+ENTROPY_EIGENVALUE_FLOOR = 1e-15
 
 _I2 = np.eye(2, dtype=complex)
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -80,11 +82,13 @@ SIGMA_DOT_SIGMA.flags.writeable = False
 
 
 def n_dot_sigma(axis: Iterable[float]) -> np.ndarray:
-    """Pauli vector contracted with a real 3-vector."""
+    """Pauli vector contracted with a real 3-vector, or with each 3-vector of
+    a stack along the last axis (giving a stack of 2x2 matrices)."""
     n = np.asarray(axis, dtype=float)
-    if n.shape != (3,):
+    if n.ndim == 0 or n.shape[-1] != 3:
         raise ValueError("axis must be a real 3-vector")
-    return n[0] * _SX + n[1] * _SY + n[2] * _SZ
+    n = n[..., None, None]
+    return n[..., 0, :, :] * _SX + n[..., 1, :, :] * _SY + n[..., 2, :, :] * _SZ
 
 
 def unit_axis(axis, tol: float = 1e-9) -> np.ndarray:
@@ -325,7 +329,7 @@ def bloch_density(v) -> DensityMatrix:
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy -trace(rho ln rho) in nats."""
     evals = np.linalg.eigvalsh(rho.mat)
-    evals = evals[evals > 1e-15]
+    evals = evals[evals > ENTROPY_EIGENVALUE_FLOOR]
     return float(-np.sum(evals * np.log(evals)))
 
 

@@ -16,6 +16,7 @@ the (|0>=up, |1>=down) basis.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,14 +46,15 @@ _I4 = np.eye(4, dtype=complex)
 EXCHANGE_4 = sum(pauli_pair(k, k) for k in (1, 2, 3))
 EXCHANGE_4.flags.writeable = False
 
-# Permutation of (flying, a, b) -> (flying, b, a), used to embed a two-body
-# block acting on the flying spin and the second static qubit.
-_SWAP_STATICS = np.zeros((8, 8), dtype=complex)
-for _f in range(2):
-    for _a in range(2):
-        for _b in range(2):
-            _SWAP_STATICS[_f * 4 + _b * 2 + _a, _f * 4 + _a * 2 + _b] = 1.0
-_SWAP_STATICS.flags.writeable = False
+# Gather indices lifting an operator on (flying, one static) to (flying, q1, q2):
+# entry [i, j] of the 8x8 lift is entry _LIFT[which][i, j] of the flattened
+# 4x4 operator, where index 16 is a padded zero (the spectator qubit flips).
+# The "second" lift is the "first" one with q1 and q2 exchanged in both
+# indices; _SWAP[i] is basis state i with its two static qubits exchanged.
+_SWAP = np.array([4 * f + 2 * b + a for f in range(2) for a in range(2) for b in range(2)])
+_LIFT_FIRST = np.kron(np.arange(1, 17).reshape(4, 4), np.eye(2, dtype=int)) - 1
+_LIFT_FIRST[_LIFT_FIRST < 0] = 16
+_LIFT = {"first": _LIFT_FIRST, "second": _LIFT_FIRST[np.ix_(_SWAP, _SWAP)]}
 
 
 class ResonantCascadeError(RuntimeError):
@@ -65,41 +67,54 @@ class ScatterParams:
 
     omega is the dimensionless exchange strength.  kd_phase is the one-way
     propagation phase k*d; it enters transmission only through exp(i*kd_phase).
+    Either may be an array, making the params a grid of points (the two
+    broadcast together); grid arrays are copied read-only.  Only single-point
+    params are hashable, so only they reach the block cache.
     """
 
     omega: float
     kd_phase: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.omega):
-            raise ValueError(f"omega must be finite, got {self.omega}")
-        if not np.isfinite(self.kd_phase):
-            raise ValueError(f"kd_phase must be finite, got {self.kd_phase}")
+        for name in ("omega", "kd_phase"):
+            value = getattr(self, name)
+            if isinstance(value, (np.ndarray, list, tuple)):
+                value = np.array(value, dtype=float)
+                value.flags.writeable = False
+                object.__setattr__(self, name, value)
+                finite = np.isfinite(value).all()
+            else:
+                finite = math.isfinite(value)
+            if not finite:
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
 class FrozenSpin:
-    """A classical, non-dynamical spin direction."""
+    """A classical, non-dynamical spin direction, or a grid of them along the
+    leading axes of n_hat."""
 
     n_hat: np.ndarray
 
     def __post_init__(self):
-        n = np.asarray(self.n_hat, dtype=float)
-        if n.shape != (3,):
+        n = np.array(self.n_hat, dtype=float)
+        if n.ndim == 0 or n.shape[-1] != 3:
             raise ValueError("frozen spin direction must be a 3-vector")
-        if abs(np.linalg.norm(n) - 1.0) > 1e-12:
-            raise ValueError(f"frozen spin direction must be unit, norm {np.linalg.norm(n)}")
-        n = n.copy()
+        norm = np.linalg.norm(n, axis=-1)
+        worst = np.max(np.abs(norm - 1.0))
+        if not worst <= 1e-12:
+            raise ValueError(f"frozen spin direction must be unit, norm off by {worst:.3e}")
         n.flags.writeable = False
         object.__setattr__(self, "n_hat", n)
 
     @classmethod
-    def from_angles(cls, theta: float, phi: float = 0.0) -> "FrozenSpin":
-        return cls(np.array([
+    def from_angles(cls, theta, phi=0.0) -> "FrozenSpin":
+        theta, phi = np.broadcast_arrays(theta, phi)
+        return cls(np.stack([
             np.sin(theta) * np.cos(phi),
             np.sin(theta) * np.sin(phi),
             np.cos(theta),
-        ]))
+        ], axis=-1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +122,8 @@ class ScatterBlock:
     """r/t/r'/t' blocks of one (possibly composite) scatterer.
 
     The full matrix [[r, t'], [t, r']] must be unitary; this is checked at
-    construction.
+    construction.  Blocks may be stacked along leading grid axes; every
+    block of the stack is then checked.
     """
 
     r: np.ndarray
@@ -118,8 +134,10 @@ class ScatterBlock:
     def __post_init__(self):
         mats = []
         for name in ("r", "t", "r_prime", "t_prime"):
-            m = np.array(getattr(self, name), dtype=complex)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            # C order: stacked products run about twice as slow on the
+            # strided arrays an index gather (embed_block) returns.
+            m = np.array(getattr(self, name), dtype=complex, order="C")
+            if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
                 raise ValueError(f"{name} must be square")
             m.flags.writeable = False
             object.__setattr__(self, name, m)
@@ -127,19 +145,60 @@ class ScatterBlock:
         if len({m.shape for m in mats}) != 1:
             raise ValueError("all four blocks must share one shape")
         s = self.full()
-        err = np.max(np.abs(s.conj().T @ s - np.eye(s.shape[0])))
-        if err > UNITARITY_TOL:
+        err = np.max(np.abs(_dagger(s) @ s - np.eye(s.shape[-1])))
+        if not err <= UNITARITY_TOL:
             raise ValueError(f"scattering matrix is not unitary: deviation {err:.3e}")
 
     @property
     def dim(self) -> int:
-        return self.r.shape[0]
+        return self.r.shape[-1]
 
     def full(self) -> np.ndarray:
         """The full scattering matrix [[r, t'], [t, r']]."""
-        top = np.hstack([self.r, self.t_prime])
-        bottom = np.hstack([self.t, self.r_prime])
-        return np.vstack([top, bottom])
+        top = np.concatenate([self.r, self.t_prime], axis=-1)
+        bottom = np.concatenate([self.t, self.r_prime], axis=-1)
+        return np.concatenate([top, bottom], axis=-2)
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def _grid(values) -> np.ndarray:
+    """Per-point scalars shaped to scale a stack of matrices."""
+    return np.asarray(values)[..., None, None]
+
+
+def _phase_factors(params: ScatterParams) -> tuple:
+    """exp(i*kd_phase) and its square, shaped to scale a stack of matrices.
+
+    The square is formed in real arithmetic, the way the scalar complex
+    product rounds it; numpy's vectorized complex product rounds about one
+    point in four differently, and a grid point must reproduce its single
+    point's cascade digit for digit.
+    """
+    ph = np.exp(1j * np.asarray(params.kd_phase))
+    re, im = ph.real, ph.imag
+    ph2 = (re * re - im * im) + 1j * (re * im + im * re)
+    return _grid(ph), _grid(ph2)
+
+
+def _require_zero_phase(params: ScatterParams) -> None:
+    if np.count_nonzero(params.kd_phase):
+        raise ValueError("closed form assumes kd_phase = 0")
+
+
+def _omega_squared(params: ScatterParams):
+    """omega**2, taken point by point on a grid with the scalar power.
+
+    numpy's array square and the C pow behind the scalar ** round about one
+    value in a thousand differently; evaluating each point as a scalar keeps
+    a grid's closed forms identical, digit for digit, to its single points.
+    """
+    if not isinstance(params.omega, np.ndarray):
+        return params.omega ** 2
+    return np.array([w ** 2 for w in params.omega.tolist()]).reshape(params.omega.shape)
 
 
 def frozen_t(params: ScatterParams, spin: FrozenSpin) -> np.ndarray:
@@ -149,7 +208,7 @@ def frozen_t(params: ScatterParams, spin: FrozenSpin) -> np.ndarray:
     (I - i*omega*(n . sigma)) / (1 + omega^2): the flying spin is rotated
     about n and attenuated isotropically, t^dag t = I / (1 + omega^2).
     """
-    return np.linalg.inv(_I2 + 1j * params.omega * n_dot_sigma(spin.n_hat))
+    return np.linalg.inv(_I2 + 1j * _grid(params.omega) * n_dot_sigma(spin.n_hat))
 
 
 def frozen_block(params: ScatterParams, spin: FrozenSpin) -> ScatterBlock:
@@ -163,11 +222,10 @@ def frozen_pair_pt(params: ScatterParams, theta: float) -> float:
     """Transmission probability through two frozen spins at relative angle theta.
 
     Valid at zero propagation phase only, where the closed form is
-    1 / (1 + 2*omega^2*(1 + cos(theta))).
+    1 / (1 + 2*omega^2*(1 + cos(theta))).  theta may be an array.
     """
-    if params.kd_phase != 0.0:
-        raise ValueError("closed form assumes kd_phase = 0")
-    w2 = params.omega ** 2
+    _require_zero_phase(params)
+    w2 = _omega_squared(params)
     return 1.0 / (1.0 + 2.0 * w2 * (1.0 + np.cos(theta)))
 
 
@@ -176,7 +234,7 @@ def qubit_t_single(params: ScatterParams) -> np.ndarray:
 
     t = [I + i*omega*(sigma_f . sigma_s)]^-1.
     """
-    return np.linalg.inv(_I4 + 1j * params.omega * EXCHANGE_4)
+    return np.linalg.inv(_I4 + 1j * _grid(params.omega) * EXCHANGE_4)
 
 
 def qubit_block(params: ScatterParams) -> ScatterBlock:
@@ -194,13 +252,13 @@ def transparent_block(dim: int) -> ScatterBlock:
 
 
 def _embed4(mat4: np.ndarray, which: str) -> np.ndarray:
-    """Lift an operator on (flying, one static) to (flying, q1, q2)."""
-    m8 = np.kron(mat4, _I2)
-    if which == "first":
-        return m8
-    if which == "second":
-        return _SWAP_STATICS @ m8 @ _SWAP_STATICS
-    raise ValueError(f"which must be 'first' or 'second', got {which!r}")
+    """Lift an operator (or a stack of them) on (flying, one static) to (flying, q1, q2)."""
+    if which not in _LIFT:
+        raise ValueError(f"which must be 'first' or 'second', got {which!r}")
+    lead = mat4.shape[:-2]
+    flat = np.concatenate([mat4.reshape(lead + (16,)), np.zeros(lead + (1,), dtype=complex)],
+                          axis=-1)
+    return flat[..., _LIFT[which]]
 
 
 def embed_block(block: ScatterBlock, which: str) -> ScatterBlock:
@@ -226,21 +284,26 @@ def cascade(b1: ScatterBlock, b2: ScatterBlock, params: ScatterParams) -> Scatte
     geometric series; the inversion is guarded against resonant (singular)
     configurations.  Reflection phases are referenced to each scatterer's own
     interface.
+
+    Stacked blocks and grid params broadcast: the result holds one cascade
+    per grid point, and every point is guarded; one resonant point refuses
+    the whole grid.
     """
     if b1.dim != b2.dim:
         raise ValueError("cascaded blocks must share a dimension")
     n = b1.dim
     ident = np.eye(n, dtype=complex)
-    ph = np.exp(1j * params.kd_phase)
-    ph2 = ph * ph
+    ph, ph2 = _phase_factors(params)
 
     m1 = ident - ph2 * (b1.r_prime @ b2.r)
     m2 = ident - ph2 * (b2.r @ b1.r_prime)
     for m in (m1, m2):
         c = np.linalg.cond(m)
-        if not np.isfinite(c) or c > CONDITION_LIMIT:
+        resonant = ~(c <= CONDITION_LIMIT)
+        if resonant.any():
             raise ResonantCascadeError(
-                f"resonant cascade: multiple-scattering inversion has condition {c:.3e}")
+                "resonant cascade: multiple-scattering inversion has condition "
+                f"{c[resonant][0]:.3e}")
     inv1 = np.linalg.solve(m1, ident)
     inv2 = np.linalg.solve(m2, ident)
 
@@ -251,37 +314,50 @@ def cascade(b1: ScatterBlock, b2: ScatterBlock, params: ScatterParams) -> Scatte
     return ScatterBlock(r=r_c, t=t_c, r_prime=rp_c, t_prime=tp_c)
 
 
-@lru_cache(maxsize=BLOCK_CACHE_SIZE)
-def two_impurity_block(params: ScatterParams) -> ScatterBlock:
+def two_impurity_cascade(params: ScatterParams) -> ScatterBlock:
     """Cascade of two identical qubit impurities on (flying, q1, q2).
 
-    Built once per distinct params and then served from a bounded cache:
-    ScatterParams is frozen and the block's arrays are read-only, so equal
-    params may share one block.
+    Built afresh on every call; grid params give one stacked block per grid
+    point.  Single points are better served by two_impurity_block.
     """
-    b1 = embed_block(qubit_block(params), "first")
-    b2 = embed_block(qubit_block(params), "second")
-    return cascade(b1, b2, params)
+    single = qubit_block(params)
+    return cascade(embed_block(single, "first"), embed_block(single, "second"), params)
 
 
-def transmission_probability(block: ScatterBlock, rho: DensityMatrix) -> float:
-    """P_T = trace(t^dag t rho) for a full-space input state."""
+@lru_cache(maxsize=BLOCK_CACHE_SIZE)
+def two_impurity_block(params: ScatterParams) -> ScatterBlock:
+    """two_impurity_cascade at one point, built once per distinct params.
+
+    Served from a bounded cache: ScatterParams is frozen and the block's
+    arrays are read-only, so equal params may share one block.
+    """
+    return two_impurity_cascade(params)
+
+
+def _probability(amp: np.ndarray, rho: DensityMatrix, what: str):
+    """trace(amp^dag amp rho): a float for one block, an array for a stack."""
+    val = np.trace(_dagger(amp) @ amp @ rho.mat, axis1=-2, axis2=-1)
+    worst = np.abs(val.imag).max()
+    if worst > 1e-10:
+        raise RuntimeError(f"{what} probability has imaginary part {worst:.3e}")
+    return float(val.real) if val.ndim == 0 else val.real
+
+
+def transmission_probability(block: ScatterBlock, rho: DensityMatrix):
+    """P_T = trace(t^dag t rho) for a full-space input state.
+
+    One float for a single block; one value per grid point for a stack.
+    """
     if rho.dim != block.dim:
         raise ValueError(f"state dim {rho.dim} does not match block dim {block.dim}")
-    val = np.trace(block.t.conj().T @ block.t @ rho.mat)
-    if abs(val.imag) > 1e-10:
-        raise RuntimeError(f"transmission probability has imaginary part {val.imag:.3e}")
-    return float(val.real)
+    return _probability(block.t, rho, "transmission")
 
 
-def reflection_probability(block: ScatterBlock, rho: DensityMatrix) -> float:
+def reflection_probability(block: ScatterBlock, rho: DensityMatrix):
     """P_R = trace(r^dag r rho); equals 1 - P_T by unitarity."""
     if rho.dim != block.dim:
         raise ValueError(f"state dim {rho.dim} does not match block dim {block.dim}")
-    val = np.trace(block.r.conj().T @ block.r @ rho.mat)
-    if abs(val.imag) > 1e-10:
-        raise RuntimeError(f"reflection probability has imaginary part {val.imag:.3e}")
-    return float(val.real)
+    return _probability(block.r, rho, "reflection")
 
 
 def _check_two_qubit(rho: DensityMatrix) -> None:
@@ -299,11 +375,11 @@ def pt_unpolarized_closed_form(params: ScatterParams, rho: DensityMatrix) -> flo
 
     where indices label the |00>,|01>,|10>,|11> basis (1-based).  The state
     enters only through rho_22 + rho_33 - 2 Re rho_23 = (1 - <s1.s2>)/2.
+    On grid params it returns one value per omega.
     """
     _check_two_qubit(rho)
-    if params.kd_phase != 0.0:
-        raise ValueError("closed form assumes kd_phase = 0")
-    w2 = params.omega ** 2
+    _require_zero_phase(params)
+    w2 = _omega_squared(params)
     m = rho.mat
     combo = m[1, 1].real + m[2, 2].real - 2.0 * m[1, 2].real
     num = (1.0 + 12.0 * w2) + 4.0 * w2 * (1.0 + 8.0 * w2) * combo
@@ -324,8 +400,7 @@ def transmitted_polarization(params: ScatterParams, rho: DensityMatrix) -> np.nd
         <sigma_f>_out = 6 w2 / [(1 + 16 w2)(1 + 4 w2)] * <sigma_1 + sigma_2> / P_T.
     """
     _check_two_qubit(rho)
-    if params.kd_phase != 0.0:
-        raise ValueError("closed form assumes kd_phase = 0")
+    _require_zero_phase(params)
     pt = pt_unpolarized_closed_form(params, rho)
     if pt <= 0.0:
         raise RuntimeError("transmission probability vanished; polarization undefined")
@@ -349,8 +424,7 @@ def pt_polarized_input(params: ScatterParams, rho: DensityMatrix, axis,
     fully aligned with |00> statics transmits with 1/(1 + 4 w2) > P_T_unpol).
     """
     _check_two_qubit(rho)
-    if params.kd_phase != 0.0:
-        raise ValueError("closed form assumes kd_phase = 0")
+    _require_zero_phase(params)
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     n = unit_axis(axis)

@@ -49,6 +49,9 @@ FLAT_DESIGN_TOL = 1e-9
 PSD_REPAIR_TOL = -1e-10
 UNCONSTRAINED_AMPLITUDE = 1e-6
 
+# The unpolarized flying spin, shared read-only by every setting without an injector.
+_UNPOLARIZED = maximally_mixed(2)
+
 MODES = ("two_qubit_gates", "two_qubit_polarized", "single_qubit_ancilla",
          "first_qubit_marginal", "pure_state")
 
@@ -126,7 +129,7 @@ class TomographyPlan:
 
 def _flying_state(setting: MeasurementSetting) -> DensityMatrix:
     if setting.injector_axis is None:
-        return maximally_mixed(2)
+        return _UNPOLARIZED
     return polarized_qubit(setting.injector_axis, setting.injector_sign)
 
 

@@ -397,3 +397,10 @@ def test_pure_fit_rejects_conjugate_twin(omega, k):
     ket = np.array([1.0, 0.0, 0.0, np.exp(1j * k * np.pi / 4)]) / np.sqrt(2.0)
     with pytest.raises(tomo.PureFitError, match="cannot identify"):
         tomo.reconstruct_pure(tomo.run_plan(plan, ket_density(ket), 0))
+
+
+def test_unpolarized_flying_state_is_built_once():
+    plan = tomo.plan_standard("two_qubit_gates", ScatterParams(1.0, 0.2))
+    states = {id(tomo._flying_state(s)) for s in plan.settings}
+    assert len(states) == 1
+    assert tomo._flying_state(plan.settings[0]).mat.flags.writeable is False
