@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -55,6 +57,11 @@ EXIT_NUMERIC = 3
 # Grid points evaluated in one stacked pass; a point holds about 25 kB of
 # intermediate blocks, so longer sweeps run in slices of this many points.
 SWEEP_SLICE = 1024
+# Largest grid a range may describe.  A sweep builds all of its CSV lines
+# before writing any; at this size it grows the process by about 50 MB and
+# takes about 8 s (one core of a 2-core x86 machine).  A larger range is a
+# usage error.
+MAX_RANGE_POINTS = 100_000
 
 
 class UsageError(ValueError):
@@ -73,7 +80,8 @@ def _fmt(x) -> str:
 
 
 def parse_range(text: str) -> np.ndarray:
-    """Parse 'a:b:step' into an inclusive grid."""
+    """Parse 'a:b:step' into an inclusive grid of at most MAX_RANGE_POINTS
+    points."""
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"range must be a:b:step, got {text!r}")
@@ -81,9 +89,15 @@ def parse_range(text: str) -> np.ndarray:
         a, b, step = (float(p) for p in parts)
     except ValueError as exc:
         raise UsageError(f"bad range {text!r}: {exc}") from None
+    if not all(math.isfinite(v) for v in (a, b, step)):
+        raise UsageError(f"range {text!r} must have finite bounds and step")
     if step <= 0 or b < a:
         raise UsageError(f"range {text!r} must have b >= a and step > 0")
-    n = int(np.floor((b - a) / step + 1e-9)) + 1
+    # Checked before anything is allocated; an overflowing count is inf.
+    span = (b - a) / step + 1e-9
+    if not span < MAX_RANGE_POINTS:
+        raise UsageError(f"range {text!r} has more than {MAX_RANGE_POINTS} points")
+    n = int(np.floor(span)) + 1
     return a + step * np.arange(n)
 
 
@@ -486,10 +500,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on the first call only; parsing leaves it
+    unchanged, so every call gets a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

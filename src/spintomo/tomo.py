@@ -7,7 +7,9 @@ transmission readout, whose ideal value is affine in the unknown state; the
 design row is built generically by conjugating the setting's effective
 observable with its gate sequence and decomposing in the Pauli basis, so no
 hand-derived coefficient formulas enter the inversion.  Each setting builds
-its row once, and the same row both simulates its readout and inverts it.
+its row once, and the same row both simulates its readout and inverts it;
+each standard plan is built once per (mode, params), so repeated experiments
+share its settings and their rows.
 
 Supported reconstruction modes:
 
@@ -23,7 +25,7 @@ Supported reconstruction modes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -48,6 +50,9 @@ from .scatter import ScatterParams, transmission_probability, two_impurity_block
 FLAT_DESIGN_TOL = 1e-9
 PSD_REPAIR_TOL = -1e-10
 UNCONSTRAINED_AMPLITUDE = 1e-6
+# Distinct (mode, ScatterParams) whose standard plans are kept; a run uses a
+# handful, and each plan holds its settings' built rows.
+PLAN_CACHE_SIZE = 64
 
 # The unpolarized flying spin, shared read-only by every setting without an injector.
 _UNPOLARIZED = maximally_mixed(2)
@@ -149,6 +154,12 @@ def _static_pair(setting: MeasurementSetting, rho: DensityMatrix) -> DensityMatr
     return g.apply(setting.seq, pair)
 
 
+def _target(setting: MeasurementSetting) -> tuple:
+    """Which unknowns the setting's row acts on: the register's, or those of
+    an ancilla's target qubit."""
+    return setting.ancilla_axis is not None, setting.marginal_target
+
+
 def _unknowns(setting: MeasurementSetting, rho: DensityMatrix) -> np.ndarray:
     """The coordinates of rho that the setting's row acts on: the 15 Pauli
     coefficients of a register, or the Bloch vector of an ancilla's target."""
@@ -164,6 +175,12 @@ def _unknowns(setting: MeasurementSetting, rho: DensityMatrix) -> np.ndarray:
     return np.array(bloch(target))
 
 
+def _affine_value(setting: MeasurementSetting, unknowns: np.ndarray) -> float:
+    """A total transmission, offset + row . unknowns on the setting's row."""
+    row, offset = setting_row(setting)
+    return offset + float(row @ unknowns)
+
+
 def ideal_value(setting: MeasurementSetting, rho: DensityMatrix) -> float:
     """Noise-free value of the setting's readout on the given true state.
 
@@ -172,8 +189,7 @@ def ideal_value(setting: MeasurementSetting, rho: DensityMatrix) -> float:
     (flying, q1, q2) space.
     """
     if setting.detector_axis is None:
-        row, offset = setting_row(setting)
-        return offset + float(row @ _unknowns(setting, rho))
+        return _affine_value(setting, _unknowns(setting, rho))
     pair = _static_pair(setting, rho)
     block = two_impurity_block(setting.params)
     full = DensityMatrix(kron(_flying_state(setting).mat, pair.mat))
@@ -198,7 +214,12 @@ def measure(setting: MeasurementSetting, rho: DensityMatrix, shots: int,
     """
     if shots < 0:
         raise ValueError("shots must be nonnegative")
-    ideal = ideal_value(setting, rho)
+    return _sample(setting, ideal_value(setting, rho), rho, shots, rng_seed)
+
+
+def _sample(setting: MeasurementSetting, ideal: float, rho: DensityMatrix,
+            shots: int, rng_seed) -> MeasurementRecord:
+    """measure's record for a setting whose noise-free value is ideal."""
     if shots == 0:
         return MeasurementRecord(setting, ideal, 0, ideal, 0.0)
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
@@ -228,10 +249,27 @@ def measure(setting: MeasurementSetting, rho: DensityMatrix, shots: int,
 def run_plan(plan: TomographyPlan, rho: DensityMatrix, shots: int,
              seed=None) -> list:
     """Measure every setting of a plan; per-setting seeds are derived from
-    the master seed by plan order, so results are reproducible."""
+    the master seed by plan order, so results are reproducible.
+
+    Each record equals measure(setting, rho, shots, default_rng(its seed));
+    the unknowns of each target (the register, or one marginal) are taken
+    from rho once and shared by that target's settings.
+    """
+    if shots < 0:
+        raise ValueError("shots must be nonnegative")
     seeds = np.random.SeedSequence(seed).spawn(len(plan.settings))
-    return [measure(s, rho, shots, np.random.default_rng(ss))
-            for s, ss in zip(plan.settings, seeds)]
+    unknowns = {}
+    records = []
+    for s, ss in zip(plan.settings, seeds):
+        if s.detector_axis is None:
+            target = _target(s)
+            if target not in unknowns:
+                unknowns[target] = _unknowns(s, rho)
+            ideal = _affine_value(s, unknowns[target])
+        else:
+            ideal = ideal_value(s, rho)
+        records.append(_sample(s, ideal, rho, shots, ss))
+    return records
 
 
 def _effective_observable(block_t: np.ndarray, rho_f: np.ndarray) -> np.ndarray:
@@ -278,7 +316,7 @@ def build_design_matrix(plan_or_settings) -> tuple:
     time for ancilla plans).
     """
     settings = getattr(plan_or_settings, "settings", plan_or_settings)
-    targets = {(s.ancilla_axis is not None, s.marginal_target) for s in settings}
+    targets = {_target(s) for s in settings}
     if len(targets) > 1:
         raise ValueError("settings mix different unknowns; split by target first")
     rows, offsets = zip(*(setting_row(s) for s in settings))
@@ -332,6 +370,12 @@ def reconstruct_marginals(records) -> tuple:
     return reconstruct_single(first), reconstruct_single(second)
 
 
+def _rank(svals: np.ndarray, shape: tuple) -> int:
+    """The rank np.linalg.matrix_rank gives a matrix of this shape with these
+    singular values (its default tolerance, S.max() * max(M, N) * eps)."""
+    return int(np.count_nonzero(svals > svals.max() * max(shape) * np.finfo(svals.dtype).eps))
+
+
 def _psd_repair(mat: np.ndarray) -> tuple:
     """Clip negative eigenvalues and renormalize the trace.
 
@@ -359,11 +403,11 @@ def reconstruct_two_qubit(records, plan: TomographyPlan) -> tuple:
     if len(settings) != len(plan.settings):
         raise ValueError("records do not match the plan")
     a, b = build_design_matrix(settings)
-    rank = np.linalg.matrix_rank(a)
+    svals = np.linalg.svd(a, compute_uv=False)
+    rank = _rank(svals, a.shape)
     if rank < 15:
         raise RankDeficientPlanError(
             f"design matrix rank {rank} < 15; the plan cannot determine the state")
-    svals = np.linalg.svd(a, compute_uv=False)
     cond = float(svals.max() / svals.min())
     y = np.array([r.observed_value for r in records]) - b
     x, _, _, resid = _solve_weighted(a, y, _weights(records))
@@ -433,7 +477,20 @@ def _polarized_settings(params: ScatterParams) -> list:
 
 
 def plan_standard(mode: str, params: ScatterParams) -> TomographyPlan:
-    """The stock measurement plan for each reconstruction mode."""
+    """The stock measurement plan for each reconstruction mode.
+
+    Built once per (mode, params) and served from a bounded cache: a plan,
+    its settings and their rows are immutable, so equal calls share one plan
+    (whose settings hold the params of the call that built it).  params must
+    be one point, not a grid.
+    """
+    if isinstance(params.omega, np.ndarray) or isinstance(params.kd_phase, np.ndarray):
+        raise ValueError("a standard plan is built at one (omega, kd) point, not on a grid")
+    return _standard_plan(mode, params)
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _standard_plan(mode: str, params: ScatterParams) -> TomographyPlan:
     if mode == "two_qubit_gates":
         settings = _gate_settings(params) + _swap_settings(params)
     elif mode == "two_qubit_polarized":

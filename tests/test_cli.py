@@ -25,6 +25,26 @@ def test_parse_range_inclusive():
         cli.parse_range("0:1:0")
 
 
+@pytest.mark.parametrize("text", ["0:inf:1", "-inf:0:1", "0:1:inf", "nan:1:1", "0:1:nan",
+                                  "0:1e300:1e-300", "-1e308:1e308:1", "0:1e9:1"])
+def test_parse_range_rejects_unbounded_grids(text):
+    with pytest.raises(cli.UsageError):
+        cli.parse_range(text)
+
+
+def test_parse_range_point_cap():
+    cap = cli.MAX_RANGE_POINTS
+    assert len(cli.parse_range(f"0:{cap - 1}:1")) == cap
+    with pytest.raises(cli.UsageError, match="points"):
+        cli.parse_range(f"0:{cap}:1")
+
+
+def test_sweep_unbounded_range_exit_1(capsys):
+    assert run(["sweep", "--omega-range", "0:inf:1", "--state", "singlet"]) == 1
+    assert run(["sweep", "--kd-range", "0:1e9:1", "--omega", "1", "--state", "singlet"]) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_parse_state_generators(tmp_path):
     assert trace_distance(cli.parse_state("singlet"), singlet()) < 1e-14
     t00 = cli.parse_state("triplet00")
@@ -228,3 +248,36 @@ def test_validate_catches_broken_evaluator():
     assert not rep["two_impurity_closed_form"]["passed"]
     others = {k: v for k, v in rep.items() if k != "two_impurity_closed_form"}
     assert all(s["passed"] for s in others.values())
+
+
+def test_repeated_main_calls_match_separate_runs(tmp_path, capsys):
+    # main reuses one parser: a run after other commands and a usage error
+    # must print, write and exit as it does in a fresh process.
+    calls = [
+        ["sweep", "--omega-range", "0.2:0.5:0.1", "--state", "singlet", "--out", "{d}/a.csv"],
+        ["engine", "--omega", "0.4", "--max-iters", "30", "--state", "bloch:0.1,0.2,0.3"],
+        ["sweep", "--omega-range", "0.2:0.5"],
+        ["engine", "--bogus"],
+        ["tomo", "--mode", "single_qubit_ancilla", "--state", "bloch:0.2,-0.3,0.4",
+         "--shots", "500", "--seed", "9"],
+        ["sweep", "--kd-range", "0:0.3:0.1", "--omega", "0.9", "--state", "werner:0.4"],
+        ["engine", "--omega", "0.4", "--max-iters", "30", "--out", "{d}/b.csv"],
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    capsys.readouterr()
+    for i, call in enumerate(calls):
+        here, fresh = tmp_path / f"in{i}", tmp_path / f"fresh{i}"
+        here.mkdir()
+        fresh.mkdir()
+        code = run([arg.format(d=here) for arg in call])
+        got = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "spintomo.cli"]
+                              + [arg.format(d=fresh) for arg in call],
+                              env=env, capture_output=True, text=True)
+        assert (code, got.out, got.err) == (proc.returncode, proc.stdout, proc.stderr)
+        files = sorted(p.name for p in fresh.iterdir())
+        assert sorted(p.name for p in here.iterdir()) == files
+        for name in files:
+            assert (here / name).read_bytes() == (fresh / name).read_bytes()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spintomo import tomo
@@ -404,3 +406,23 @@ def test_unpolarized_flying_state_is_built_once():
     states = {id(tomo._flying_state(s)) for s in plan.settings}
     assert len(states) == 1
     assert tomo._flying_state(plan.settings[0]).mat.flags.writeable is False
+
+
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 24), n=st.integers(1, 16),
+       deficit=st.integers(0, 16), small=st.sampled_from([0.0, 1e-17, 1e-16, 1e-15, 1e-14, 1e-12]),
+       scale=st.integers(-12, 12))
+def test_rank_from_singular_values_matches_matrix_rank(seed, m, n, deficit, small, scale):
+    # Random designs, designs whose last `deficit` singular values (all but
+    # one at most) are zero or `small`, spanning matrix_rank's tolerance
+    # S.max * max(m, n) * eps, and the zero design.
+    rng = np.random.default_rng(seed)
+    r = min(m, n)
+    k = max(r - deficit, 1)
+    u, _ = np.linalg.qr(rng.normal(size=(m, r)))
+    v, _ = np.linalg.qr(rng.normal(size=(n, r)))
+    s = np.concatenate([rng.uniform(0.5, 2.0, k), small * rng.uniform(1.0, 10.0, r - k)])
+    a = (u * s) @ v.T * 10.0 ** scale
+    svals = np.linalg.svd(a, compute_uv=False)
+    assert tomo._rank(svals, a.shape) == np.linalg.matrix_rank(a)
+    zero = np.zeros((m, n))
+    assert tomo._rank(np.linalg.svd(zero, compute_uv=False), zero.shape) == 0
