@@ -356,8 +356,7 @@ def _suite_single_impurity(rng) -> tuple:
     return worst, 1e-12
 
 
-def _suite_two_impurity(rng, eq4_evaluator=None) -> tuple:
-    evaluator = eq4_evaluator or pt_unpolarized_closed_form
+def _suite_two_impurity(rng) -> tuple:
     worst = 0.0
     flying = maximally_mixed(2)
     for _ in range(50):
@@ -366,7 +365,7 @@ def _suite_two_impurity(rng, eq4_evaluator=None) -> tuple:
         rho = random_density(4, rng)
         block = two_impurity_block(params)
         pt = transmission_probability(block, full_input_state(flying, rho))
-        worst = max(worst, abs(pt - evaluator(params, rho)))
+        worst = max(worst, abs(pt - pt_unpolarized_closed_form(params, rho)))
     return worst, 1e-10
 
 
@@ -424,19 +423,13 @@ def _suite_tomo_roundtrip(rng) -> tuple:
     return worst, 1e-9
 
 
-def run_validation(seed: int = 7042, eq4_evaluator=None) -> dict:
-    """Run every invariant suite with fixed seeds; returns per-suite results.
-
-    eq4_evaluator substitutes the unpolarized closed form in the
-    two-impurity suite, which lets tests confirm that a wrong evaluator is
-    actually caught.
-    """
+def run_validation(seed: int = 7042) -> dict:
+    """Run every invariant suite with fixed seeds; returns per-suite results."""
     suites = {
         "frozen_unitarity": _suite_frozen_unitarity,
         "frozen_pair_closed_form": _suite_frozen_pair,
         "single_impurity_entries": _suite_single_impurity,
-        "two_impurity_closed_form":
-            lambda rng: _suite_two_impurity(rng, eq4_evaluator),
+        "two_impurity_closed_form": _suite_two_impurity,
         "basis_invariance": _suite_basis_invariance,
         "plan_rank_and_conditioning": _suite_plan_rank,
         "engine_trace_preservation": _suite_engine_trace,

@@ -68,8 +68,10 @@ class ScatterParams:
     omega is the dimensionless exchange strength.  kd_phase is the one-way
     propagation phase k*d; it enters transmission only through exp(i*kd_phase).
     Either may be an array, making the params a grid of points (the two
-    broadcast together); grid arrays are copied read-only.  Only single-point
-    params are hashable, so only they reach the block cache.
+    broadcast together); grid arrays are copied read-only.  A single point
+    is stored as Python floats with -0.0 made 0.0, so equal params carry
+    equal fields.  Only single-point params are hashable, so only they reach
+    the block cache.
     """
 
     omega: float
@@ -81,10 +83,11 @@ class ScatterParams:
             if isinstance(value, (np.ndarray, list, tuple)):
                 value = np.array(value, dtype=float)
                 value.flags.writeable = False
-                object.__setattr__(self, name, value)
                 finite = np.isfinite(value).all()
             else:
                 finite = math.isfinite(value)
+                value = float(value) + 0.0
+            object.__setattr__(self, name, value)
             if not finite:
                 raise ValueError(f"{name} must be finite, got {value}")
 
@@ -282,8 +285,9 @@ def cascade(b1: ScatterBlock, b2: ScatterBlock, params: ScatterParams) -> Scatte
 
     b1 sits on the left.  Multiple scattering between them is summed as a
     geometric series; the inversion is guarded against resonant (singular)
-    configurations.  Reflection phases are referenced to each scatterer's own
-    interface.
+    configurations, refusing a condition number above CONDITION_LIMIT or a
+    smallest singular value below its inverse.  Reflection phases are
+    referenced to each scatterer's own interface.
 
     Stacked blocks and grid params broadcast: the result holds one cascade
     per grid point, and every point is guarded; one resonant point refuses
@@ -298,12 +302,15 @@ def cascade(b1: ScatterBlock, b2: ScatterBlock, params: ScatterParams) -> Scatte
     m1 = ident - ph2 * (b1.r_prime @ b2.r)
     m2 = ident - ph2 * (b2.r @ b1.r_prime)
     for m in (m1, m2):
-        c = np.linalg.cond(m)
-        resonant = ~(c <= CONDITION_LIMIT)
+        # A well-conditioned but tiny matrix (a near-zero multiple of the
+        # identity) is as singular as an ill-conditioned one; NaN refuses too.
+        s = np.linalg.svd(m, compute_uv=False)
+        s_max, s_min = s[..., 0], s[..., -1]
+        resonant = ~((s_max <= CONDITION_LIMIT * s_min) & (s_min >= 1.0 / CONDITION_LIMIT))
         if resonant.any():
             raise ResonantCascadeError(
-                "resonant cascade: multiple-scattering inversion has condition "
-                f"{c[resonant][0]:.3e}")
+                "resonant cascade: multiple-scattering inversion has singular "
+                f"values {s_max[resonant][0]:.3e} down to {s_min[resonant][0]:.3e}")
     inv1 = np.linalg.solve(m1, ident)
     inv2 = np.linalg.solve(m2, ident)
 

@@ -2,14 +2,15 @@
 
 A measurement setting fixes the scattering parameters, the gate sequence
 applied to the static register beforehand, and the flying-spin injector and
-detector polarizations.  Every setting used for reconstruction has a total
-transmission readout, whose ideal value is affine in the unknown state; the
-design row is built generically by conjugating the setting's effective
-observable with its gate sequence and decomposing in the Pauli basis, so no
-hand-derived coefficient formulas enter the inversion.  Each setting builds
-its row once, and the same row both simulates its readout and inverts it;
-each standard plan is built once per (mode, params), so repeated experiments
-share its settings and their rows.
+detector polarizations.  The transmission probability P_T is affine in the
+unknown state, and so is the numerator of a conditional polarization (n.sigma
+on the transmitted flying spin in place of the identity).  Each such row is
+built generically by conjugating the setting's effective observable with its
+gate sequence and decomposing in the Pauli basis, so no hand-derived
+coefficient formulas enter.  A setting builds its rows once; a readout is P_T
+or numerator / P_T off them, and a total transmission's P_T row is also its
+design row.  Each standard plan is built once per (mode, params), so
+repeated experiments share its settings and their rows.
 
 Supported reconstruction modes:
 
@@ -38,14 +39,14 @@ from .qmat import (
     assemble_array,
     bloch,
     decompose,
-    kron,
     maximally_mixed,
+    n_dot_sigma,
     partial_trace,
     pauli,
     polarized_qubit,
     unit_axis,
 )
-from .scatter import ScatterParams, transmission_probability, two_impurity_block
+from .scatter import ScatterParams, two_impurity_block
 
 FLAT_DESIGN_TOL = 1e-9
 PSD_REPAIR_TOL = -1e-10
@@ -107,9 +108,13 @@ class MeasurementSetting:
             raise ValueError(f"marginal_target must be first/second, got {self.marginal_target!r}")
 
     @cached_property
-    def _affine(self) -> tuple:
-        # A setting is immutable, so its design row is built on first use only.
-        return _build_row(self)
+    def _rows(self) -> tuple:
+        # A setting is immutable, so its rows are built on first use only:
+        # (row, offset) of P_T, then of the polarization numerator if any.
+        rows = (_build_row(self, None),)
+        if self.detector_axis is not None:
+            rows += (_build_row(self, n_dot_sigma(self.detector_axis)),)
+        return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,22 +143,6 @@ def _flying_state(setting: MeasurementSetting) -> DensityMatrix:
     return polarized_qubit(setting.injector_axis, setting.injector_sign)
 
 
-def _static_pair(setting: MeasurementSetting, rho: DensityMatrix) -> DensityMatrix:
-    """The dim-4 static state actually placed in the channel."""
-    if setting.ancilla_axis is not None:
-        target = rho
-        if setting.marginal_target is not None:
-            target = partial_trace(rho, setting.marginal_target)
-        if target.dim != 2:
-            raise ValueError("ancilla settings probe a one-qubit target")
-        pair = DensityMatrix(kron(polarized_qubit(setting.ancilla_axis).mat, target.mat))
-    else:
-        if rho.dim != 4:
-            raise ValueError(f"register settings need a two-qubit state, got dim {rho.dim}")
-        pair = rho
-    return g.apply(setting.seq, pair)
-
-
 def _target(setting: MeasurementSetting) -> tuple:
     """Which unknowns the setting's row acts on: the register's, or those of
     an ancilla's target qubit."""
@@ -175,33 +164,26 @@ def _unknowns(setting: MeasurementSetting, rho: DensityMatrix) -> np.ndarray:
     return np.array(bloch(target))
 
 
-def _affine_value(setting: MeasurementSetting, unknowns: np.ndarray) -> float:
-    """A total transmission, offset + row . unknowns on the setting's row."""
-    row, offset = setting_row(setting)
-    return offset + float(row @ unknowns)
+def _readout(setting: MeasurementSetting, unknowns: np.ndarray) -> tuple:
+    """(value, P_T) of the setting on a target with these unknowns: the
+    value is P_T itself, or for a detector the numerator row's value / P_T."""
+    rows = setting._rows
+    pt = rows[0][1] + float(rows[0][0] @ unknowns)
+    if setting.detector_axis is None:
+        return pt, pt
+    if pt <= 0.0:
+        raise RuntimeError("no transmission; conditional polarization undefined")
+    return (rows[1][1] + float(rows[1][0] @ unknowns)) / pt, pt
 
 
 def ideal_value(setting: MeasurementSetting, rho: DensityMatrix) -> float:
     """Noise-free value of the setting's readout on the given true state.
 
-    A total transmission is offset + row . unknowns with the setting's
-    design row; a conditional polarization is computed on the full
-    (flying, q1, q2) space.
+    Both readouts come off the setting's affine rows: a total transmission
+    is P_T = offset + row . unknowns, a conditional polarization the ratio of
+    its numerator row's value to that P_T.
     """
-    if setting.detector_axis is None:
-        return _affine_value(setting, _unknowns(setting, rho))
-    pair = _static_pair(setting, rho)
-    block = two_impurity_block(setting.params)
-    full = DensityMatrix(kron(_flying_state(setting).mat, pair.mat))
-    pt = transmission_probability(block, full)
-    if pt <= 0.0:
-        raise RuntimeError("no transmission; conditional polarization undefined")
-    out = block.t @ full.mat @ block.t.conj().T
-    op = kron(np.array(
-        setting.detector_axis[0] * pauli(1)
-        + setting.detector_axis[1] * pauli(2)
-        + setting.detector_axis[2] * pauli(3)), np.eye(4, dtype=complex))
-    return float(np.trace(op @ out).real / pt)
+    return _readout(setting, _unknowns(setting, rho))[0]
 
 
 def measure(setting: MeasurementSetting, rho: DensityMatrix, shots: int,
@@ -214,28 +196,24 @@ def measure(setting: MeasurementSetting, rho: DensityMatrix, shots: int,
     """
     if shots < 0:
         raise ValueError("shots must be nonnegative")
-    return _sample(setting, ideal_value(setting, rho), rho, shots, rng_seed)
+    return _sample(setting, *_readout(setting, _unknowns(setting, rho)), shots, rng_seed)
 
 
-def _sample(setting: MeasurementSetting, ideal: float, rho: DensityMatrix,
+def _sample(setting: MeasurementSetting, ideal: float, pt: float,
             shots: int, rng_seed) -> MeasurementRecord:
-    """measure's record for a setting whose noise-free value is ideal."""
+    """measure's record for a setting whose noise-free value is ideal and
+    whose transmission probability is pt."""
     if shots == 0:
         return MeasurementRecord(setting, ideal, 0, ideal, 0.0)
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
 
+    n_t = int(rng.binomial(shots, min(max(pt, 0.0), 1.0)))
     if setting.detector_axis is None:
-        k = int(rng.binomial(shots, min(max(ideal, 0.0), 1.0)))
-        observed = k / shots
-        p_smooth = (k + 1.0) / (shots + 2.0)
+        p_smooth = (n_t + 1.0) / (shots + 2.0)
         se = float(np.sqrt(p_smooth * (1.0 - p_smooth) / shots))
-        return MeasurementRecord(setting, ideal, shots, observed, se)
+        return MeasurementRecord(setting, ideal, shots, n_t / shots, se)
 
     # Polarization detection: only transmitted shots produce a +-1 outcome.
-    pt = transmission_probability(two_impurity_block(setting.params),
-                                  DensityMatrix(kron(_flying_state(setting).mat,
-                                                     _static_pair(setting, rho).mat)))
-    n_t = int(rng.binomial(shots, min(max(pt, 0.0), 1.0)))
     if n_t == 0:
         return MeasurementRecord(setting, ideal, shots, 0.0, 1.0)
     p_up = 0.5 * (1.0 + min(max(ideal, -1.0), 1.0))
@@ -257,25 +235,29 @@ def run_plan(plan: TomographyPlan, rho: DensityMatrix, shots: int,
     """
     if shots < 0:
         raise ValueError("shots must be nonnegative")
-    seeds = np.random.SeedSequence(seed).spawn(len(plan.settings))
+    # The seed is checked even when no record draws from it.
+    root = np.random.SeedSequence(seed)
+    seeds = root.spawn(len(plan.settings)) if shots > 0 else [None] * len(plan.settings)
     unknowns = {}
     records = []
     for s, ss in zip(plan.settings, seeds):
-        if s.detector_axis is None:
-            target = _target(s)
-            if target not in unknowns:
-                unknowns[target] = _unknowns(s, rho)
-            ideal = _affine_value(s, unknowns[target])
-        else:
-            ideal = ideal_value(s, rho)
-        records.append(_sample(s, ideal, rho, shots, ss))
+        target = _target(s)
+        if target not in unknowns:
+            unknowns[target] = _unknowns(s, rho)
+        records.append(_sample(s, *_readout(s, unknowns[target]), shots, ss))
     return records
 
 
-def _effective_observable(block_t: np.ndarray, rho_f: np.ndarray) -> np.ndarray:
-    """E with trace(t^dag t (rho_f (x) rho_s)) = trace(E rho_s)."""
-    a = block_t.conj().T @ block_t
-    d_s = a.shape[0] // 2
+def _effective_observable(block_t: np.ndarray, rho_f: np.ndarray,
+                          flying_out: np.ndarray | None = None) -> np.ndarray:
+    """E with trace(t^dag (O (x) I) t (rho_f (x) rho_s)) = trace(E rho_s).
+
+    O is flying_out, an operator on the transmitted flying spin; None is the
+    identity, which makes trace(E rho_s) the transmission probability.
+    """
+    d_s = block_t.shape[0] // 2
+    t_out = block_t if flying_out is None else np.kron(flying_out, np.eye(d_s)) @ block_t
+    a = block_t.conj().T @ t_out
     m = a.reshape(2, d_s, 2, d_s)
     return np.einsum("fsgu,gf->su", m, rho_f)
 
@@ -288,15 +270,17 @@ def setting_row(setting: MeasurementSetting) -> tuple:
     the target qubit's Bloch vector.  The row is built once per setting and
     is read-only.
     """
-    return setting._affine
-
-
-def _build_row(setting: MeasurementSetting) -> tuple:
     if setting.detector_axis is not None:
         raise ValueError("conditional polarization readouts are not affine; "
                          "use +-axis injection settings instead")
+    return setting._rows[0]
+
+
+def _build_row(setting: MeasurementSetting, flying_out: np.ndarray | None) -> tuple:
+    """(row, offset) of trace((O (x) I) t rho_in t^dag) against the setting's
+    unknowns, O being flying_out (None: the identity, giving P_T)."""
     block = two_impurity_block(setting.params)
-    e_pair = _effective_observable(block.t, _flying_state(setting).mat)
+    e_pair = _effective_observable(block.t, _flying_state(setting).mat, flying_out)
     e_pair = g.conjugate_observable(setting.seq, e_pair)
     # c[i, j] = trace(E sigma_i (x) sigma_j) / 4, so the value is sum_ij c_ij a_ij.
     c = np.einsum("ij,kji->k", e_pair, PAULI_BASIS).real.reshape(4, 4) / 4.0

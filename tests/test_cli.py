@@ -235,7 +235,7 @@ def test_validate_passes(tmp_path):
         assert s["max_error"] < s["threshold"]
 
 
-def test_validate_catches_broken_evaluator():
+def test_validate_catches_broken_evaluator(monkeypatch):
     # a corrupted closed form must fail the cross-check suite
     from spintomo.scatter import pt_unpolarized_closed_form
 
@@ -244,7 +244,8 @@ def test_validate_catches_broken_evaluator():
         baseline = 2 * (1 + 12 * om2) / ((1 + 16 * om2) * (1 + 4 * om2))
         return baseline - pt_unpolarized_closed_form(params, rho)
 
-    rep = cli.run_validation(eq4_evaluator=broken)
+    monkeypatch.setattr(cli, "pt_unpolarized_closed_form", broken)
+    rep = cli.run_validation()
     assert not rep["two_impurity_closed_form"]["passed"]
     others = {k: v for k, v in rep.items() if k != "two_impurity_closed_form"}
     assert all(s["passed"] for s in others.values())

@@ -5,6 +5,8 @@ The references here are an uncached plan build and a per-setting measure
 loop; records must equal them bit for bit.
 """
 import dataclasses
+import json
+import math
 
 import numpy as np
 import pytest
@@ -131,3 +133,25 @@ def test_run_plan_validates_its_inputs():
         tomo.run_plan(plan, random_density(4, np.random.default_rng(1)), -1, 3)
     with pytest.raises(ValueError, match="two-qubit"):
         tomo.run_plan(plan, random_density(2, np.random.default_rng(1)), 0)
+
+
+def test_run_plan_checks_the_seed_without_shots():
+    # no record draws from the seed at shots = 0, but a bad one still refuses
+    plan = tomo.plan_standard("two_qubit_gates", ScatterParams(1.0))
+    rho = random_density(4, np.random.default_rng(3))
+    with pytest.raises(ValueError):
+        tomo.run_plan(plan, rho, 0, -1)
+    assert (record_fields(tomo.run_plan(plan, rho, 0, 5))
+            == record_fields(tomo.run_plan(plan, rho, 0)))
+
+
+def test_equal_params_serialize_alike():
+    # the shared plan carries the params of the call that built it; those
+    # must serialize as any equal params would
+    tomo._standard_plan.cache_clear()
+    tomo.plan_standard("two_qubit_gates", ScatterParams(1.0, -0.0))
+    obj = tomo.plan_to_json(tomo.plan_standard("two_qubit_gates", ScatterParams(1.0, 0.0)))
+    assert all(math.copysign(1.0, s["kd_phase"]) == 1.0 for s in obj["settings"])
+    tomo.plan_standard("two_qubit_gates", ScatterParams(2, 0))
+    obj = tomo.plan_to_json(tomo.plan_standard("two_qubit_gates", ScatterParams(2.0, 0.0)))
+    assert json.dumps(obj["settings"][0]).startswith('{"omega": 2.0, "kd_phase": 0.0,')

@@ -52,6 +52,14 @@ def test_params_validation():
         ScatterParams(1.0, np.nan)
 
 
+def test_params_store_single_points_as_floats():
+    for params in (ScatterParams(2, -0.0), ScatterParams(np.float32(2.0), np.int64(0))):
+        assert type(params.omega) is float and type(params.kd_phase) is float
+        assert (params.omega, np.copysign(1.0, params.kd_phase)) == (2.0, 1.0)
+    grid = ScatterParams(1.0, [-0.0, 0.5])
+    assert np.copysign(1.0, grid.kd_phase[0]) == -1.0
+
+
 def test_frozen_spin_unit_norm():
     with pytest.raises(ValueError):
         FrozenSpin(np.array([1.0, 1.0, 0.0]))

@@ -132,6 +132,16 @@ def test_stacked_resonant_cascade_guard():
     assert block.t.shape == (2, 4, 4)
 
 
+def test_cascade_guard_sees_a_tiny_identity_multiple():
+    # at kd = pi, I - exp(2i kd) r' r is 2.4e-16i * I: condition 1, yet singular
+    with pytest.raises(ResonantCascadeError):
+        cascade(_mirror(), _mirror(), ScatterParams(1.0, np.pi))
+    with pytest.raises(ResonantCascadeError):
+        cascade(_mirror(), _mirror(), ScatterParams(1.0, [0.5, np.pi, 1.0]))
+    for kd in (0.5, 1.0):
+        assert cascade(_mirror(), _mirror(), ScatterParams(1.0, kd)).t.shape == (4, 4)
+
+
 def test_stacked_unitarity_checks_every_block():
     good = qubit_block(ScatterParams(np.array([0.5, 1.0, 1.5])))
     t = np.array(good.t)
