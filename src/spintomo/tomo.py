@@ -21,7 +21,8 @@ Supported reconstruction modes:
   single_qubit_ancilla one unknown qubit probed via a polarized ancilla
   first_qubit_marginal ancilla settings per register qubit; returns both
                        one-qubit marginals of a two-qubit register
-  pure_state           nonlinear fit of a pure-state parametrization
+  pure_state           nonlinear fit of a pure state: a ket in C^4, every
+                       start at once by damped Gauss-Newton
 """
 from __future__ import annotations
 
@@ -555,12 +556,17 @@ class PureStateFit:
 
 _S2 = 1.0 / np.sqrt(2.0)
 _B15 = PAULI_BASIS[1:]
+# Termination tolerance and iteration cap of each start in _fit_kets.
+PURE_FIT_TOL = 1e-14
+PURE_FIT_MAX_ITERS = 200
+# x @ _TIMES_I is i psi for a ket psi written as x = (Re psi, Im psi).
+_TIMES_I = np.block([[np.zeros((4, 4)), np.eye(4)], [-np.eye(4), np.zeros((4, 4))]])
 
 
 def _pure_ket(amps: np.ndarray, phases) -> np.ndarray:
     """The PureStateParams ket for amplitudes (a1, a2, a3, a4) and phases
-    (th1, th2, th4).  It is linear in the amplitudes: a trailing axis on
-    amps gives one ket per column."""
+    (th1, th2, th4).  A trailing axis on amps or phases gives one ket per
+    column."""
     e1, e2, e4 = np.exp(1j * np.asarray(phases, dtype=float))
     a1, a2, a3, a4 = amps
     return np.array([a1 * e1, _S2 * (a2 * e2 + a3), _S2 * (a2 * e2 - a3), a4 * e4])
@@ -572,42 +578,84 @@ def _amps_from_angles(chi: np.ndarray) -> np.ndarray:
     return np.array([c[0], s[0] * c[1], s[0] * s[1] * c[2], s[0] * s[1] * s[2]])
 
 
-def _amps_jacobian(chi: np.ndarray) -> np.ndarray:
-    """d amps / d chi of _amps_from_angles, shape (4, 3)."""
-    c = np.cos(chi)
-    s = np.sin(chi)
-    return np.array([
-        [-s[0], 0.0, 0.0],
-        [c[0] * c[1], -s[0] * s[1], 0.0],
-        [c[0] * s[1] * c[2], s[0] * c[1] * c[2], -s[0] * s[1] * s[2]],
-        [c[0] * s[1] * s[2], s[0] * c[1] * s[2], s[0] * s[1] * c[2]],
-    ])
-
-
 def _coeff_vector(ket: np.ndarray) -> np.ndarray:
     """The 15 Pauli coefficients <ket| sigma_i (x) sigma_j |ket>."""
     return np.einsum("i,kij,j->k", ket.conj(), _B15, ket).real
 
 
-def _pure_residual(x, a, b, y, w) -> np.ndarray:
-    """Weighted misfit of the pure state at angles x = (chi1..3, th1, th2, th4)."""
-    ket = _pure_ket(_amps_from_angles(x[:3]), x[3:])
-    return w * (a @ _coeff_vector(ket) + b - y)
+def _ket_model(x: np.ndarray, qt: np.ndarray, b, y, w) -> tuple:
+    """Weighted misfit w (<psi|Q_k|psi>/<psi|psi> + b - y) of a stack of
+    kets, and its Jacobian over x, shape (S, K, 8).
+
+    Each ket is a row of x (S, 8) = (Re psi, Im psi), and qt (8, 8K) holds
+    the real symmetric form of each Q_k, so <psi|Q_k|psi> = x . Qt_k x.  The
+    misfit does not change with the norm or phase of psi, so the Jacobian
+    vanishes along psi and i psi.
+    """
+    nrm2 = np.einsum("si,si->s", x, x)[:, None]
+    qx = (x @ qt).reshape(len(x), -1, 8)
+    f = np.einsum("ski,si->sk", qx, x) / nrm2
+    res = w * (f + b - y)
+    return res, (2.0 * w / nrm2)[:, :, None] * (qx - f[:, :, None] * x[:, None, :])
 
 
-def _pure_jacobian(x, a, b, y, w) -> np.ndarray:
-    """d _pure_residual / dx, from dc_k = 2 Re(v^dag P_k dv)."""
-    amps = _amps_from_angles(x[:3])
-    ket = _pure_ket(amps, x[3:])
-    # Amplitude columns d amps / d chi, then i a_k for the phase of each a_k.
-    cols = np.concatenate([_amps_jacobian(x[:3]), 1j * np.diag(amps)[:, [0, 1, 3]]], axis=1)
-    dket = _pure_ket(cols, x[3:])
-    dc = 2.0 * (np.conj(_B15 @ ket) @ dket).real
-    return w[:, None] * (a @ dc)
+def _fit_kets(kets: np.ndarray, qt: np.ndarray, b, y, w) -> tuple:
+    """Least-squares fit of the records from every start ket of the stack
+    kets (S, 4) at once; returns the fitted kets (normalized) and their
+    residual norms.
 
-
-def _wrap_phase(th: float) -> float:
-    return float(np.angle(np.exp(1j * th)))
+    Each start runs its own damped Gauss-Newton (Levenberg-Marquardt)
+    iteration in C^4 taken as 8 reals: one batched 8x8 solve per iteration,
+    its own accept/reject decision and damping, a renormalized ket after
+    every step.  The damping is isotropic, so a step stays orthogonal to the
+    gauge directions psi and i psi, along which the Jacobian vanishes.  A
+    start leaves the batch when its gradient, relative cost change or step
+    falls below PURE_FIT_TOL.
+    """
+    x = np.concatenate([kets.real, kets.imag], axis=1)
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    out_x, out_cost = np.empty_like(x), np.empty(len(x))
+    idx = np.arange(len(x))
+    res, jac = _ket_model(x, qt, b, y, w)
+    cost = 0.5 * np.einsum("sk,sk->s", res, res)
+    mu = 1e-3 * np.einsum("ski,ski->si", jac, jac).max(axis=1)
+    nu = np.full(len(x), 2.0)
+    done = np.zeros(len(x), dtype=bool)
+    for _ in range(PURE_FIT_MAX_ITERS):
+        grad = np.einsum("ski,sk->si", jac, res)
+        done |= np.abs(grad).max(axis=1) < PURE_FIT_TOL
+        if done.any():
+            out_x[idx[done]], out_cost[idx[done]] = x[done], cost[done]
+            keep = ~done
+            idx, x, res, jac, grad, cost, mu, nu = (
+                v[keep] for v in (idx, x, res, jac, grad, cost, mu, nu))
+            if not idx.size:
+                break
+        # psi and i psi span the null space of J^T J.  Adding their
+        # projector keeps the system regular as mu -> 0 and does not change
+        # the step, since the gradient has no part along them.
+        gauge = np.stack([x, x @ _TIMES_I], axis=1)
+        lhs = (np.einsum("ski,skj->sij", jac, jac) + gauge.transpose(0, 2, 1) @ gauge
+               + mu[:, None, None] * np.eye(8))
+        step = -np.linalg.solve(lhs, grad[:, :, None])[:, :, 0]
+        x_new = x + step
+        x_new /= np.linalg.norm(x_new, axis=1, keepdims=True)
+        res_new, jac_new = _ket_model(x_new, qt, b, y, w)
+        cost_new = 0.5 * np.einsum("sk,sk->s", res_new, res_new)
+        reduction = cost - cost_new
+        ratio = reduction / (0.5 * np.einsum("si,si->s", step, mu[:, None] * step - grad))
+        done = ((reduction < PURE_FIT_TOL * cost) & (ratio > 0.25)
+                | (np.linalg.norm(step, axis=1) < PURE_FIT_TOL * (PURE_FIT_TOL + 1.0)))
+        accept = reduction > 0.0
+        mu = np.where(accept, mu * np.maximum(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3),
+                      mu * nu)
+        nu = np.where(accept, 2.0, 2.0 * nu)
+        x = np.where(accept[:, None], x_new, x)
+        res = np.where(accept[:, None], res_new, res)
+        jac = np.where(accept[:, None, None], jac_new, jac)
+        cost = np.where(accept, cost_new, cost)
+    out_x[idx], out_cost[idx] = x, cost
+    return out_x[:, :4] + 1j * out_x[:, 4:], np.sqrt(2.0 * out_cost)
 
 
 def _amplitude_seed(x_lin: np.ndarray) -> np.ndarray:
@@ -637,57 +685,84 @@ def _amplitude_seed(x_lin: np.ndarray) -> np.ndarray:
     return np.array([chi1, chi2, np.arctan2(amps[3], amps[2])])
 
 
-def reconstruct_pure(records) -> PureStateFit:
-    """Fit the pure-state parametrization to transmission records.
+def _branch_kets(chi0: np.ndarray) -> np.ndarray:
+    """The fit's first starts: the seed amplitudes with every sign branch
+    of phases +-pi/2, shape (8, 4)."""
+    signs = np.array([[s1, s2, s4] for s1 in (+1, -1) for s2 in (+1, -1) for s4 in (+1, -1)])
+    return _pure_ket(_amps_from_angles(chi0), signs.T * np.pi / 2).T
 
-    The predicted value of each setting is affine in the Pauli coefficients
-    of |psi><psi|, so the records' design matrix doubles as the forward
-    model.  Amplitudes are seeded from a linear solve (they are fixed by the
-    gate settings alone); the three phases are then fitted by restarting a
-    bounded least-squares run from every sign branch, with extra randomized
-    restarts if none of the branches lands cleanly.  branch_gap reports how
-    far behind the best competing branch finished.  Phases of components
-    with amplitude below 1e-6 are reported as unconstrained.  Noiseless
-    records that no branch can fit indicate a non-pure input state and
-    raise PureFitError; so do noiseless records that two different states
-    fit equally well, as the plan cannot identify the state then.  Besides
-    the fits themselves, the complex conjugate of the best state is always
-    tried as such a twin.
-    """
-    # scipy.optimize takes about half a second to import and only this fit
-    # needs it.
-    from scipy.optimize import least_squares
 
-    settings = [r.setting for r in records]
-    a, b = build_design_matrix(settings)
+def _restart_kets(chi0: np.ndarray) -> np.ndarray:
+    """The fit's 24 randomized restarts around the seed amplitudes, shape
+    (24, 4); seeded, so results stay reproducible."""
+    rng = np.random.default_rng(7)
+    chi, phases = [], []
+    for _ in range(24):
+        chi.append(np.clip(chi0 + rng.normal(0.0, 0.15, 3), 0.0, np.pi / 2))
+        phases.append(rng.uniform(-np.pi, np.pi, 3))
+    return _pure_ket(_amps_from_angles(np.array(chi).T), np.array(phases).T).T
+
+
+def _pure_model(records) -> tuple:
+    """(qt, b, y, w, chi0) of a pure fit: the real forms of the operators
+    Q_k = sum_j a_kj sigma_j whose expectations are the records' affine
+    parts (see _ket_model), and the seed angles of the starts."""
+    a, b = build_design_matrix([r.setting for r in records])
     y = np.array([r.observed_value for r in records])
     w = _weights(records)
-
     x_lin, _, _, _ = _solve_weighted(a, y - b, w)
-    chi0 = _amplitude_seed(x_lin)
-    starts = [np.concatenate([chi0, [s1 * np.pi / 2, s2 * np.pi / 2, s4 * np.pi / 2]])
-              for s1 in (+1, -1) for s2 in (+1, -1) for s4 in (+1, -1)]
-    lower = [0.0, 0.0, 0.0, -2 * np.pi, -2 * np.pi, -2 * np.pi]
-    upper = [np.pi / 2, np.pi / 2, np.pi / 2, 2 * np.pi, 2 * np.pi, 2 * np.pi]
+    q = np.einsum("kj,jab->kab", a, _B15)
+    qt = np.block([[q.real, -q.imag], [q.imag, q.real]])
+    return qt.transpose(2, 0, 1).reshape(8, -1), b, y, w, _amplitude_seed(x_lin)
 
-    def run(x0):
-        res = least_squares(_pure_residual, x0, jac=_pure_jacobian,
-                            bounds=(lower, upper), xtol=1e-14, ftol=1e-14,
-                            gtol=1e-14, args=(a, b, y, w))
-        return float(np.linalg.norm(res.fun)), res.x
 
-    fits = [run(x0) for x0 in starts]
-    if min(f[0] for f in fits) > 1e-9:
-        # No sign branch converged cleanly; retry from randomized phase and
-        # amplitude starts (deterministic, so results stay reproducible).
-        rng = np.random.default_rng(7)
-        for _ in range(24):
-            chi = np.clip(chi0 + rng.normal(0.0, 0.15, 3), lower[:3], upper[:3])
-            fits.append(run(np.concatenate([chi, rng.uniform(-np.pi, np.pi, 3)])))
-    fits.sort(key=lambda fr: fr[0])
-    best_res, best_x = fits[0]
-    gaps = [r for r, _ in fits if r > best_res + 1e-9]
-    branch_gap = (gaps[0] - best_res) if gaps else 0.0
+def _ket_params(psi: np.ndarray) -> PureStateParams:
+    """The PureStateParams of a normalized ket, in the gauge that makes the
+    singlet amplitude real; below UNCONSTRAINED_AMPLITUDE the first larger
+    component carries the zero phase instead."""
+    comps = np.array([psi[0], _S2 * (psi[1] + psi[2]), _S2 * (psi[1] - psi[2]), psi[3]])
+    amps = np.abs(comps)
+    big = amps >= UNCONSTRAINED_AMPLITUDE
+    anchor = 2 if big[2] else int(np.argmax(big))
+    phases = np.angle(comps * np.exp(-1j * np.angle(comps[anchor])))
+    return PureStateParams(a1=amps[0], a2=amps[1], a3=amps[2], a4=amps[3],
+                           th1=phases[0], th2=phases[1], th4=phases[3])
+
+
+def reconstruct_pure(records) -> PureStateFit:
+    """Fit a pure state to transmission records.
+
+    The predicted value of each setting is affine in the Pauli coefficients
+    of |psi><psi|, so with the records' design matrix a it is the quadratic
+    form <psi|Q_k|psi> / <psi|psi> + b_k, Q_k = sum_j a_kj sigma_j.  The ket
+    is fitted in C^4 by one batched damped Gauss-Newton run over every start
+    (see _fit_kets).  Amplitudes are seeded from a linear solve (they are
+    fixed by the gate settings alone) and the first batch starts from every
+    sign branch of the phases; 24 seeded random restarts follow if none of
+    the branches lands cleanly.  branch_gap reports how far behind the best
+    competing start finished.
+
+    The best ket is reported in the gauge that makes the singlet amplitude
+    real and nonnegative; if that amplitude is below 1e-6, the first larger
+    component carries the zero phase instead.  Phases of components with
+    amplitude below 1e-6 are reported as unconstrained.  Noiseless records
+    that no start can fit indicate a non-pure input state and raise
+    PureFitError; so do noiseless records that two different states fit
+    equally well, as the plan cannot identify the state then.  Besides the
+    fits themselves, the complex conjugate of the best state is always tried
+    as such a twin.
+    """
+    qt, b, y, w, chi0 = _pure_model(records)
+    kets, res = _fit_kets(_branch_kets(chi0), qt, b, y, w)
+    if res.min() > 1e-9:
+        # No sign branch converged cleanly; retry from the random restarts.
+        more_kets, more_res = _fit_kets(_restart_kets(chi0), qt, b, y, w)
+        kets, res = np.concatenate([kets, more_kets]), np.concatenate([res, more_res])
+    order = np.argsort(res, kind="stable")
+    kets, res = kets[order], res[order]
+    best_res, best = float(res[0]), kets[0]
+    gaps = res[res > best_res + 1e-9]
+    branch_gap = float(gaps[0] - best_res) if gaps.size else 0.0
 
     noiseless = all(r.shots == 0 for r in records)
     if noiseless and best_res > 1e-6 * len(records):
@@ -695,24 +770,23 @@ def reconstruct_pure(records) -> PureStateFit:
             f"best residual {best_res:.3e} on noiseless records; the input "
             "state is not pure")
     if noiseless:
-        best_ket = _pure_ket(_amps_from_angles(best_x[:3]), best_x[3:])
-        # Besides the fits, try the complex-conjugate ket (the best fit with
-        # its phases negated): a twin that no sign branch need reach.
-        x_conj = np.concatenate([best_x[:3], -best_x[3:]])
-        conj_res = float(np.linalg.norm(_pure_residual(x_conj, a, b, y, w)))
-        for res, x in fits[1:] + [(conj_res, x_conj)]:
-            if res > best_res + 1e-9:
+        # Besides the fits, try the complex-conjugate ket: a twin that no
+        # start need reach.
+        twin = best.conj()
+        twin_x = np.concatenate([twin.real, twin.imag])[None]
+        twin_res = float(np.linalg.norm(_ket_model(twin_x, qt, b, y, w)[0]))
+        for r, ket in zip(np.append(res[1:], twin_res), np.vstack([kets[1:], twin])):
+            if r > best_res + 1e-9:
                 continue
-            ket = _pure_ket(_amps_from_angles(x[:3]), x[3:])
-            overlap = abs(np.vdot(best_ket, ket)) ** 2
+            overlap = abs(np.vdot(best, ket)) ** 2
             if overlap < 1.0 - 1e-8:
                 raise PureFitError(
-                    f"fits with residuals {best_res:.3e} and {res:.3e} reach "
+                    f"fits with residuals {best_res:.3e} and {r:.3e} reach "
                     f"states of fidelity {overlap:.6f}; the plan cannot "
                     "identify the state")
 
-    amps = _amps_from_angles(best_x[:3])
-    phases = [_wrap_phase(t) for t in best_x[3:]]
+    params = _ket_params(best)
+    amps = (params.a1, params.a2, params.a3, params.a4)
     unconstrained = [name for amp, name in
                      zip((amps[0], amps[1], amps[3]), ("th1", "th2", "th4"))
                      if amp < UNCONSTRAINED_AMPLITUDE]
@@ -720,8 +794,6 @@ def reconstruct_pure(records) -> PureStateFit:
         # Without a singlet component the phases are only fixed relative to
         # each other; a lone surviving component keeps a pure gauge phase.
         unconstrained = ["th1", "th2", "th4"]
-    params = PureStateParams(a1=amps[0], a2=amps[1], a3=amps[2], a4=amps[3],
-                             th1=phases[0], th2=phases[1], th4=phases[2])
     unconstrained.sort()
     return PureStateFit(params=params, residual=best_res,
                         branch_gap=branch_gap, unconstrained=tuple(unconstrained))

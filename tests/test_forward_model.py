@@ -24,6 +24,7 @@ from spintomo.qmat import (
     polarized_qubit,
     ptrace,
     random_density,
+    random_unitary,
 )
 from spintomo.scatter import (
     ScatterParams,
@@ -176,6 +177,32 @@ def test_affine_forward_model_matches_oracle(omega, kd, seed, tokens, kind):
     setting = tomo.MeasurementSetting(**fields)
     rho = truth_for(setting, rng)
     assert abs(tomo.ideal_value(setting, rho) - ideal_value_oracle(setting, rho)) < ORACLE_ATOL
+
+
+@given(omega=st.floats(0.1, 3.0),
+       kd=st.floats(0.0, 2 * np.pi, exclude_max=True),
+       seed=st.integers(0, 2**32 - 1),
+       t=st.floats(0.0, 1.0))
+def test_ideal_value_is_affine_in_the_state(omega, kd, seed, t):
+    rng = np.random.default_rng(seed)
+    rho1, rho2 = random_density(4, rng), random_density(4, rng)
+    mix = DensityMatrix(t * rho1.mat + (1.0 - t) * rho2.mat)
+    for s in tomo.plan_standard("two_qubit_gates", ScatterParams(omega, kd)).settings:
+        want = t * tomo.ideal_value(s, rho1) + (1.0 - t) * tomo.ideal_value(s, rho2)
+        assert abs(tomo.ideal_value(s, mix) - want) < 1e-14
+
+
+@given(omega=st.floats(0.1, 3.0),
+       kd=st.floats(0.0, 2 * np.pi, exclude_max=True),
+       seed=st.integers(0, 2**32 - 1))
+def test_unpolarized_transmission_is_collective_rotation_invariant(omega, kd, seed):
+    rng = np.random.default_rng(seed)
+    setting = tomo.MeasurementSetting(params=ScatterParams(omega, kd))
+    rho = random_density(4, rng)
+    u = random_unitary(2, rng)
+    uu = kron(u, u)
+    rotated = DensityMatrix(uu @ rho.mat @ uu.conj().T)
+    assert abs(tomo.ideal_value(setting, rotated) - tomo.ideal_value(setting, rho)) < 1e-14
 
 
 @pytest.mark.parametrize("fields", [

@@ -1,5 +1,5 @@
 """The Pauli-basis fast paths against kron-loop oracles, and the pure fit's
-analytic Jacobian against central finite differences."""
+analytic Jacobian in C^4 against central finite differences."""
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -148,16 +148,20 @@ def _noisy_model(seed):
     rng = np.random.default_rng(seed)
     plan = tomo.plan_standard("pure_state", ScatterParams(0.8))
     records = tomo.run_plan(plan, ket_density(random_ket(4, rng)), 20_000, seed=seed)
-    a, b = tomo.build_design_matrix(plan)
-    y = np.array([r.observed_value for r in records])
-    return a, b, y, tomo._weights(records)
+    return tomo._pure_model(records)[:4]
+
+
+def _reals(ket):
+    return np.concatenate([ket.real, ket.imag])
 
 
 def _central_difference(x, args, h=1e-6):
+    """Central differences of the residual over the 8 reals of an
+    unnormalized ket."""
     cols = []
-    for e in np.eye(6):
-        cols.append((tomo._pure_residual(x + h * e, *args)
-                     - tomo._pure_residual(x - h * e, *args)) / (2.0 * h))
+    for e in np.eye(8):
+        cols.append((tomo._ket_model((x + h * e)[None], *args)[0][0]
+                     - tomo._ket_model((x - h * e)[None], *args)[0][0]) / (2.0 * h))
     return np.column_stack(cols)
 
 
@@ -166,17 +170,23 @@ def test_pure_jacobian_matches_central_difference(seed):
     args = _noisy_model(seed)
     rng = np.random.default_rng(seed)
     for _ in range(5):
-        x = np.concatenate([rng.uniform(0.05, np.pi / 2 - 0.05, 3),
-                            rng.uniform(-2 * np.pi + 0.05, 2 * np.pi - 0.05, 3)])
-        jac = tomo._pure_jacobian(x, *args)
-        assert jac.shape == (len(args[2]), 6)
+        x = _reals(random_ket(4, rng))
+        jac = tomo._ket_model(x[None], *args)[1][0]
+        assert jac.shape == (len(args[2]), 8)
         assert_allclose(jac, _central_difference(x, args), atol=1e-6)
+        # the norm and the phase of the ket are gauge directions
+        assert_allclose(jac @ x, 0.0, atol=1e-10)
+        assert_allclose(jac @ _reals(1j * (x[:4] + 1j * x[4:])), 0.0, atol=1e-10)
 
 
-def test_pure_jacobian_near_bounds():
+def test_pure_jacobian_near_vanishing_amplitudes():
+    # a2 = a3 = 5e-4: hyperspherical angles are singular near here, the
+    # ket's 8 reals are not.
     args = _noisy_model(14)
-    x = np.array([5e-4, np.pi / 2 - 5e-4, 0.7, 2 * np.pi - 5e-4, -2 * np.pi + 5e-4, 1.0])
-    assert_allclose(tomo._pure_jacobian(x, *args), _central_difference(x, args), atol=1e-6)
+    a = np.sqrt((1.0 - 2 * 5e-4 ** 2) / 2.0)
+    ket = tomo.PureStateParams(a, 5e-4, 5e-4, a, th1=0.7, th2=-2.0, th4=1.0).ket()
+    x = _reals(ket)
+    assert_allclose(tomo._ket_model(x[None], *args)[1][0], _central_difference(x, args), atol=1e-6)
 
 
 def test_pure_ket_matches_parametrization():

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -374,6 +378,36 @@ def test_pure_fit_identifies_real_bell_kets(phi):
     rho = ket_density(np.array([1.0, 0.0, 0.0, np.exp(1j * phi)]) / np.sqrt(2.0))
     fit = tomo.reconstruct_pure(tomo.run_plan(plan, rho, 0))
     assert fidelity(rho, fit.params.density()) > 1 - 1e-8
+
+
+@pytest.mark.parametrize("shots, seed", [(0, 61), (0, 62), (10_000, 63), (100_000, 64)])
+def test_batched_pure_fit_starts_do_not_couple(shots, seed):
+    # Fitting all 32 starts as one stack gives each start the ket and the
+    # residual it reaches on its own, whatever the others do.
+    rng = np.random.default_rng(seed)
+    plan = tomo.plan_standard("pure_state", ScatterParams(rng.uniform(0.5, 1.5)))
+    records = tomo.run_plan(plan, ket_density(random_ket(4, rng)), shots, seed=seed)
+    qt, b, y, w, chi0 = tomo._pure_model(records)
+    starts = np.vstack([tomo._branch_kets(chi0), tomo._restart_kets(chi0)])
+    kets, res = tomo._fit_kets(starts, qt, b, y, w)
+    assert kets.shape == (32, 4) and res.shape == (32,)
+    for k, start in enumerate(starts):
+        ket, r = tomo._fit_kets(start[None], qt, b, y, w)
+        assert abs(r[0] - res[k]) < 1e-12
+        assert abs(np.vdot(ket[0], kets[k])) ** 2 > 1.0 - 1e-12
+
+
+def test_pure_fit_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tomo.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys\n"
+            "from spintomo import qmat, tomo\n"
+            "from spintomo.scatter import ScatterParams\n"
+            "plan = tomo.plan_standard('pure_state', ScatterParams(1.0))\n"
+            "tomo.reconstruct_pure(tomo.run_plan(plan, qmat.werner(1.0), 0))\n"
+            "sys.exit(any(m.partition('.')[0] == 'scipy' for m in sys.modules))\n")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_serialization_roundtrips():
