@@ -272,12 +272,14 @@ def embed_block(block: ScatterBlock, which: str) -> ScatterBlock:
     """
     if block.dim != 4:
         raise ValueError(f"embed_block expects a dim-4 block, got {block.dim}")
-    return ScatterBlock(
-        r=_embed4(block.r, which),
-        t=_embed4(block.t, which),
-        r_prime=_embed4(block.r_prime, which),
-        t_prime=_embed4(block.t_prime, which),
-    )
+    # The lift only gathers the entries of an already checked block, so its
+    # unitarity deviation is the block's own and is not checked again.
+    lifted = object.__new__(ScatterBlock)
+    for name in ("r", "t", "r_prime", "t_prime"):
+        m = np.ascontiguousarray(_embed4(getattr(block, name), which))
+        m.flags.writeable = False
+        object.__setattr__(lifted, name, m)
+    return lifted
 
 
 def cascade(b1: ScatterBlock, b2: ScatterBlock, params: ScatterParams) -> ScatterBlock:

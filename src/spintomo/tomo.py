@@ -578,11 +578,6 @@ def _amps_from_angles(chi: np.ndarray) -> np.ndarray:
     return np.array([c[0], s[0] * c[1], s[0] * s[1] * c[2], s[0] * s[1] * s[2]])
 
 
-def _coeff_vector(ket: np.ndarray) -> np.ndarray:
-    """The 15 Pauli coefficients <ket| sigma_i (x) sigma_j |ket>."""
-    return np.einsum("i,kij,j->k", ket.conj(), _B15, ket).real
-
-
 def _ket_model(x: np.ndarray, qt: np.ndarray, b, y, w) -> tuple:
     """Weighted misfit w (<psi|Q_k|psi>/<psi|psi> + b - y) of a stack of
     kets, and its Jacobian over x, shape (S, K, 8).
@@ -610,7 +605,10 @@ def _fit_kets(kets: np.ndarray, qt: np.ndarray, b, y, w) -> tuple:
     every step.  The damping is isotropic, so a step stays orthogonal to the
     gauge directions psi and i psi, along which the Jacobian vanishes.  A
     start leaves the batch when its gradient, relative cost change or step
-    falls below PURE_FIT_TOL.
+    falls below PURE_FIT_TOL.  No start sees another's numbers, so a start
+    reaches the same fit in any batch; the batch runs as long as its slowest
+    start.  Each iteration forms the stacked normal matrices J^T J with one
+    matmul and updates only the starts whose step it accepted.
     """
     x = np.concatenate([kets.real, kets.imag], axis=1)
     x /= np.linalg.norm(x, axis=1, keepdims=True)
@@ -621,22 +619,24 @@ def _fit_kets(kets: np.ndarray, qt: np.ndarray, b, y, w) -> tuple:
     mu = 1e-3 * np.einsum("ski,ski->si", jac, jac).max(axis=1)
     nu = np.full(len(x), 2.0)
     done = np.zeros(len(x), dtype=bool)
+    diag = np.arange(8)
     for _ in range(PURE_FIT_MAX_ITERS):
-        grad = np.einsum("ski,sk->si", jac, res)
+        jac_t = jac.transpose(0, 2, 1)
+        grad = (jac_t @ res[:, :, None])[:, :, 0]
         done |= np.abs(grad).max(axis=1) < PURE_FIT_TOL
         if done.any():
             out_x[idx[done]], out_cost[idx[done]] = x[done], cost[done]
             keep = ~done
-            idx, x, res, jac, grad, cost, mu, nu = (
-                v[keep] for v in (idx, x, res, jac, grad, cost, mu, nu))
+            idx, x, res, jac, jac_t, grad, cost, mu, nu = (
+                v[keep] for v in (idx, x, res, jac, jac_t, grad, cost, mu, nu))
             if not idx.size:
                 break
         # psi and i psi span the null space of J^T J.  Adding their
         # projector keeps the system regular as mu -> 0 and does not change
         # the step, since the gradient has no part along them.
         gauge = np.stack([x, x @ _TIMES_I], axis=1)
-        lhs = (np.einsum("ski,skj->sij", jac, jac) + gauge.transpose(0, 2, 1) @ gauge
-               + mu[:, None, None] * np.eye(8))
+        lhs = jac_t @ jac + gauge.transpose(0, 2, 1) @ gauge
+        lhs[:, diag, diag] += mu[:, None]
         step = -np.linalg.solve(lhs, grad[:, :, None])[:, :, 0]
         x_new = x + step
         x_new /= np.linalg.norm(x_new, axis=1, keepdims=True)
@@ -650,10 +650,11 @@ def _fit_kets(kets: np.ndarray, qt: np.ndarray, b, y, w) -> tuple:
         mu = np.where(accept, mu * np.maximum(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3),
                       mu * nu)
         nu = np.where(accept, 2.0, 2.0 * nu)
-        x = np.where(accept[:, None], x_new, x)
-        res = np.where(accept[:, None], res_new, res)
-        jac = np.where(accept[:, None, None], jac_new, jac)
-        cost = np.where(accept, cost_new, cost)
+        if accept.all():
+            x, res, jac, cost = x_new, res_new, jac_new, cost_new
+        elif accept.any():
+            x[accept], res[accept], jac[accept], cost[accept] = (
+                x_new[accept], res_new[accept], jac_new[accept], cost_new[accept])
     out_x[idx], out_cost[idx] = x, cost
     return out_x[:, :4] + 1j * out_x[:, 4:], np.sqrt(2.0 * out_cost)
 
@@ -692,15 +693,24 @@ def _branch_kets(chi0: np.ndarray) -> np.ndarray:
     return _pure_ket(_amps_from_angles(chi0), signs.T * np.pi / 2).T
 
 
+@lru_cache(maxsize=None)
+def _restart_draws() -> tuple:
+    """The restarts' angle offsets and phases, (3, 24) each, drawn once from
+    default_rng(7) in the order the restarts take them.  Drawn on first use,
+    so importing the module does not load numpy.random."""
+    rng = np.random.default_rng(7)
+    draws = [(rng.normal(0.0, 0.15, 3), rng.uniform(-np.pi, np.pi, 3)) for _ in range(24)]
+    offsets, phases = (np.array(d).T for d in zip(*draws))
+    offsets.flags.writeable = phases.flags.writeable = False
+    return offsets, phases
+
+
 def _restart_kets(chi0: np.ndarray) -> np.ndarray:
     """The fit's 24 randomized restarts around the seed amplitudes, shape
     (24, 4); seeded, so results stay reproducible."""
-    rng = np.random.default_rng(7)
-    chi, phases = [], []
-    for _ in range(24):
-        chi.append(np.clip(chi0 + rng.normal(0.0, 0.15, 3), 0.0, np.pi / 2))
-        phases.append(rng.uniform(-np.pi, np.pi, 3))
-    return _pure_ket(_amps_from_angles(np.array(chi).T), np.array(phases).T).T
+    offsets, phases = _restart_draws()
+    chi = np.clip(chi0[:, None] + offsets, 0.0, np.pi / 2)
+    return _pure_ket(_amps_from_angles(chi), phases).T
 
 
 def _pure_model(records) -> tuple:
@@ -711,9 +721,16 @@ def _pure_model(records) -> tuple:
     y = np.array([r.observed_value for r in records])
     w = _weights(records)
     x_lin, _, _, _ = _solve_weighted(a, y - b, w)
+    return _real_forms(a), b, y, w, _amplitude_seed(x_lin)
+
+
+def _real_forms(a: np.ndarray) -> np.ndarray:
+    """The qt (8, 8K) of _ket_model for the operators Q_k = sum_j a_kj
+    sigma_j, sigma_j the 15 non-identity Pauli pairs: x . Qt_k x =
+    <psi|Q_k|psi> for x = (Re psi, Im psi)."""
     q = np.einsum("kj,jab->kab", a, _B15)
     qt = np.block([[q.real, -q.imag], [q.imag, q.real]])
-    return qt.transpose(2, 0, 1).reshape(8, -1), b, y, w, _amplitude_seed(x_lin)
+    return qt.transpose(2, 0, 1).reshape(8, -1)
 
 
 def _ket_params(psi: np.ndarray) -> PureStateParams:
@@ -735,12 +752,14 @@ def reconstruct_pure(records) -> PureStateFit:
     The predicted value of each setting is affine in the Pauli coefficients
     of |psi><psi|, so with the records' design matrix a it is the quadratic
     form <psi|Q_k|psi> / <psi|psi> + b_k, Q_k = sum_j a_kj sigma_j.  The ket
-    is fitted in C^4 by one batched damped Gauss-Newton run over every start
+    is fitted in C^4 by batched damped Gauss-Newton runs over the starts
     (see _fit_kets).  Amplitudes are seeded from a linear solve (they are
-    fixed by the gate settings alone) and the first batch starts from every
-    sign branch of the phases; 24 seeded random restarts follow if none of
-    the branches lands cleanly.  branch_gap reports how far behind the best
-    competing start finished.
+    fixed by the gate settings alone), and the starts are every sign branch
+    of the phases plus 24 seeded random restarts; the restarts' fits count
+    only if no branch lands within 1e-9.  Noiseless records fit the branches
+    first and the restarts only then; noisy ones, where no branch lands,
+    fit all 32 starts in one batch.  branch_gap reports how far behind the
+    best competing fit finished.
 
     The best ket is reported in the gauge that makes the singlet amplitude
     real and nonnegative; if that amplitude is below 1e-6, the first larger
@@ -749,12 +768,21 @@ def reconstruct_pure(records) -> PureStateFit:
     that no start can fit indicate a non-pure input state and raise
     PureFitError; so do noiseless records that two different states fit
     equally well, as the plan cannot identify the state then.  Besides the
-    fits themselves, the complex conjugate of the best state is always tried
-    as such a twin.
+    fits themselves, the complex conjugate of every fit is tried as such a
+    twin.
     """
     qt, b, y, w, chi0 = _pure_model(records)
-    kets, res = _fit_kets(_branch_kets(chi0), qt, b, y, w)
-    if res.min() > 1e-9:
+    noiseless = all(r.shots == 0 for r in records)
+    branches = _branch_kets(chi0)
+    n_branch = len(branches)
+    # Noisy records never land a branch at 1e-9, so their restarts run in
+    # the same batch; noiseless ones try the branches alone first.
+    starts = branches if noiseless else np.concatenate([branches, _restart_kets(chi0)])
+    kets, res = _fit_kets(starts, qt, b, y, w)
+    if res[:n_branch].min() <= 1e-9:
+        # A branch landed: the restarts' fits do not count.
+        kets, res = kets[:n_branch], res[:n_branch]
+    elif noiseless:
         # No sign branch converged cleanly; retry from the random restarts.
         more_kets, more_res = _fit_kets(_restart_kets(chi0), qt, b, y, w)
         kets, res = np.concatenate([kets, more_kets]), np.concatenate([res, more_res])
@@ -764,26 +792,26 @@ def reconstruct_pure(records) -> PureStateFit:
     gaps = res[res > best_res + 1e-9]
     branch_gap = float(gaps[0] - best_res) if gaps.size else 0.0
 
-    noiseless = all(r.shots == 0 for r in records)
     if noiseless and best_res > 1e-6 * len(records):
         raise PureFitError(
             f"best residual {best_res:.3e} on noiseless records; the input "
             "state is not pure")
     if noiseless:
-        # Besides the fits, try the complex-conjugate ket: a twin that no
-        # start need reach.
-        twin = best.conj()
-        twin_x = np.concatenate([twin.real, twin.imag])[None]
-        twin_res = float(np.linalg.norm(_ket_model(twin_x, qt, b, y, w)[0]))
-        for r, ket in zip(np.append(res[1:], twin_res), np.vstack([kets[1:], twin])):
-            if r > best_res + 1e-9:
-                continue
-            overlap = abs(np.vdot(best, ket)) ** 2
-            if overlap < 1.0 - 1e-8:
-                raise PureFitError(
-                    f"fits with residuals {best_res:.3e} and {r:.3e} reach "
-                    f"states of fidelity {overlap:.6f}; the plan cannot "
-                    "identify the state")
+        # Besides the fits, try the complex conjugate of every fit: twins
+        # that no start need reach.
+        twins = kets.conj()
+        twin_x = np.concatenate([twins.real, twins.imag], axis=1)
+        twin_res = np.linalg.norm(_ket_model(twin_x, qt, b, y, w)[0], axis=1)
+        rivals = np.concatenate([kets[1:], twins])
+        rival_res = np.concatenate([res[1:], twin_res])
+        overlap = np.abs(rivals @ best.conj()) ** 2
+        clash = np.flatnonzero((rival_res <= best_res + 1e-9) & (overlap < 1.0 - 1e-8))
+        if clash.size:
+            k = clash[0]
+            raise PureFitError(
+                f"fits with residuals {best_res:.3e} and {rival_res[k]:.3e} reach "
+                f"states of fidelity {overlap[k]:.6f}; the plan cannot "
+                "identify the state")
 
     params = _ket_params(best)
     amps = (params.a1, params.a2, params.a3, params.a4)

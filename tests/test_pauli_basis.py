@@ -136,12 +136,17 @@ def test_setting_row_matches_kron_loop():
 
 
 def test_coeff_vector_matches_kron_loop():
+    # The pure fit's model value <psi|Q_k|psi>/<psi|psi>, with Q_k each of
+    # the 15 Pauli pairs in turn (a unit design, no offset, unit weights),
+    # is the ket's vector of Pauli coefficients.
+    qt = tomo._real_forms(np.eye(15))
     rng = np.random.default_rng(204)
     for _ in range(20):
         v = random_ket(4, rng)
         rho = np.outer(v, v.conj())
         want = [np.trace(rho @ kron_pair(i, j)).real for i, j in PAULI_PAIRS]
-        assert_allclose(tomo._coeff_vector(v), want, atol=1e-14)
+        f = tomo._ket_model(_reals(v)[None], qt, 0.0, 0.0, 1.0)[0][0]
+        assert_allclose(f, want, atol=1e-14)
 
 
 def _noisy_model(seed):

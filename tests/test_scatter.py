@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spintomo.qmat import (
@@ -21,7 +23,9 @@ from spintomo.scatter import (
     ResonantCascadeError,
     ScatterBlock,
     ScatterParams,
+    _dagger,
     cascade,
+    embed_block,
     flying_polarization_out,
     frozen_block,
     frozen_pair_pt,
@@ -37,6 +41,7 @@ from spintomo.scatter import (
     transmitted_polarization,
     transparent_block,
     two_impurity_block,
+    two_impurity_cascade,
 )
 
 
@@ -332,3 +337,32 @@ def test_full_input_state_shape():
     assert full.dim == 8
     with pytest.raises(ValueError):
         full_input_state(singlet(), singlet())
+
+
+def _unitarity_deviation(block):
+    s = block.full()
+    return np.max(np.abs(_dagger(s) @ s - np.eye(s.shape[-1])), axis=(-2, -1))
+
+
+@pytest.mark.parametrize("which", ["first", "second"])
+def test_embedded_block_keeps_source_unitarity_deviation(which):
+    # The lift is an index gather of a checked block, so it is not checked
+    # again: its deviation must be the source's, to the last bit.
+    for omega in (0.3, 1.0, 2.7, 50.0, np.linspace(0.01, 40.0, 200)):
+        single = qubit_block(ScatterParams(omega))
+        lifted = embed_block(single, which)
+        assert np.array_equal(_unitarity_deviation(lifted), _unitarity_deviation(single))
+        for m in (lifted.r, lifted.t, lifted.r_prime, lifted.t_prime):
+            assert m.flags.c_contiguous and not m.flags.writeable
+
+
+@given(omega=st.floats(1e-8, 1e-2),
+       kd=st.floats(0.0, 2 * np.pi, exclude_max=True),
+       seed=st.integers(0, 2**32 - 1))
+def test_weak_coupling_cascade_is_unguarded_and_loses_order_omega_squared(omega, kd, seed):
+    # As omega -> 0 both impurities turn transparent: no guard may refuse,
+    # and the lost transmission is second order in omega.  The lower bound
+    # allows P_T to round above 1 by a few ulps.
+    rho = random_density(8, np.random.default_rng(seed))
+    loss = 1.0 - transmission_probability(two_impurity_cascade(ScatterParams(omega, kd)), rho)
+    assert -1e-14 <= loss <= 16.0 * omega ** 2 + 1e-14

@@ -397,6 +397,93 @@ def test_batched_pure_fit_starts_do_not_couple(shots, seed):
         assert abs(np.vdot(ket[0], kets[k])) ** 2 > 1.0 - 1e-12
 
 
+def _count_batches(monkeypatch) -> list:
+    """Record the number of starts of every _fit_kets call from now on."""
+    batches = []
+    fit_kets = tomo._fit_kets
+    monkeypatch.setattr(tomo, "_fit_kets",
+                        lambda starts, *args: batches.append(len(starts)) or fit_kets(starts, *args))
+    return batches
+
+
+def _fit_summary(kets, res):
+    """(best ket, best residual, branch_gap) of a set of fits, the way
+    reconstruct_pure reads them."""
+    order = np.argsort(res, kind="stable")
+    gaps = res[res > res[order[0]] + 1e-9]
+    return kets[order[0]], res[order[0]], (gaps.min() - res[order[0]]) if gaps.size else 0.0
+
+
+def test_restart_kets_are_the_seeded_draws():
+    rng = np.random.default_rng(71)
+    for chi0 in [np.zeros(3), np.full(3, np.pi / 2), np.array([0.1, 1.5, 0.7]),
+                 rng.uniform(0.0, np.pi / 2, 3), rng.uniform(-1.0, 3.0, 3)]:
+        draws = np.random.default_rng(7)
+        chi, phases = [], []
+        for _ in range(24):
+            chi.append(np.clip(chi0 + draws.normal(0.0, 0.15, 3), 0.0, np.pi / 2))
+            phases.append(draws.uniform(-np.pi, np.pi, 3))
+        want = tomo._pure_ket(tomo._amps_from_angles(np.array(chi).T), np.array(phases).T).T
+        assert np.array_equal(tomo._restart_kets(chi0), want)
+
+
+@pytest.mark.parametrize("shots, seed", [(10_000, 81), (100_000, 82), (10_000, 83)])
+def test_noisy_pure_fit_equals_branches_then_restarts(shots, seed, monkeypatch):
+    # One batch of all 32 starts reports what fitting the 8 branches and
+    # then the 24 restarts reports.
+    rng = np.random.default_rng(seed)
+    plan = tomo.plan_standard("pure_state", ScatterParams(rng.uniform(0.5, 1.5)))
+    records = tomo.run_plan(plan, ket_density(random_ket(4, rng)), shots, seed=seed)
+    qt, b, y, w, chi0 = tomo._pure_model(records)
+    kets, res = tomo._fit_kets(tomo._branch_kets(chi0), qt, b, y, w)
+    assert res.min() > 1e-9
+    more_kets, more_res = tomo._fit_kets(tomo._restart_kets(chi0), qt, b, y, w)
+    best, best_res, gap = _fit_summary(np.concatenate([kets, more_kets]),
+                                       np.concatenate([res, more_res]))
+    batches = _count_batches(monkeypatch)
+    fit = tomo.reconstruct_pure(records)
+    assert batches == [32]
+    assert abs(fit.residual - best_res) < 1e-12
+    assert abs(fit.branch_gap - gap) < 1e-12
+    assert abs(np.vdot(fit.params.ket(), best)) ** 2 > 1.0 - 1e-12
+
+
+def test_noiseless_pure_fit_reports_no_restarts_when_a_branch_lands(monkeypatch):
+    rng = np.random.default_rng(84)
+    plan = tomo.plan_standard("pure_state", PARAMS)
+    records = tomo.run_plan(plan, ket_density(random_ket(4, rng)), 0)
+    qt, b, y, w, chi0 = tomo._pure_model(records)
+    kets, res = tomo._fit_kets(tomo._branch_kets(chi0), qt, b, y, w)
+    assert res.min() <= 1e-9
+    _, best_res, gap = _fit_summary(kets, res)
+    batches = _count_batches(monkeypatch)
+    fit = tomo.reconstruct_pure(records)
+    assert batches == [8]
+    assert fit.residual == best_res and fit.branch_gap == gap
+
+
+def test_pure_fit_refuses_twin_of_a_non_best_fit(monkeypatch):
+    # For a ket in span(|01>, |10>) the qubit swap of its complex conjugate
+    # gives the same records, and its plain conjugate does not.  With the
+    # truth as the best fit and the swapped truth as a second, poorer fit,
+    # the twin shows only as the conjugate of that second fit.
+    truth = np.array([0.0, 0.6, 0.8 * np.exp(0.7j), 0.0])
+    swapped = truth[[0, 2, 1, 3]]
+    records = tomo.run_plan(tomo.plan_standard("pure_state", PARAMS), ket_density(truth), 0)
+    qt, b, y, w, _ = tomo._pure_model(records)
+
+    def residuals(kets):
+        x = np.concatenate([kets.real, kets.imag], axis=1)
+        return np.linalg.norm(tomo._ket_model(x, qt, b, y, w)[0], axis=1)
+
+    fits = np.array([truth, swapped])
+    assert residuals(fits)[0] < 1e-12 < 1e-6 < residuals(fits)[1]
+    assert residuals(fits.conj())[0] > 1e-6 and residuals(fits.conj())[1] < 1e-12
+    monkeypatch.setattr(tomo, "_fit_kets", lambda starts, *args: (fits, residuals(fits)))
+    with pytest.raises(tomo.PureFitError, match="cannot identify"):
+        tomo.reconstruct_pure(records)
+
+
 def test_pure_fit_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(tomo.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
