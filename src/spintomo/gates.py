@@ -184,17 +184,17 @@ def conjugate_observable(seq: GateSequence, obs: np.ndarray) -> np.ndarray:
     return u.conj().T @ obs @ u
 
 
-def equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = PHASE_EQ_TOL) -> bool:
+def equal_up_to_phase(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether two unitaries differ only by a global phase."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         return False
     overlap = np.trace(a.conj().T @ b)
-    if abs(overlap) < tol:
+    if abs(overlap) < PHASE_EQ_TOL:
         return False
     phase = overlap / abs(overlap)
-    return bool(np.max(np.abs(a * phase - b)) <= tol)
+    return bool(np.max(np.abs(a * phase - b)) <= PHASE_EQ_TOL)
 
 
 def coefficient_transfer_matrix(seq: GateSequence) -> np.ndarray:

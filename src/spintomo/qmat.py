@@ -13,8 +13,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-# Validation tolerances.  Callers may override per call; these are the
-# package-wide defaults.
+# Validation tolerances, package-wide.
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = -1e-10
@@ -91,7 +90,7 @@ def n_dot_sigma(axis: Iterable[float]) -> np.ndarray:
     return n[..., 0, :, :] * _SX + n[..., 1, :, :] * _SY + n[..., 2, :, :] * _SZ
 
 
-def unit_axis(axis, tol: float = 1e-9) -> np.ndarray:
+def unit_axis(axis) -> np.ndarray:
     """Validate and return a unit 3-vector; accepts 'x'/'y'/'z' names."""
     if isinstance(axis, str):
         try:
@@ -101,7 +100,7 @@ def unit_axis(axis, tol: float = 1e-9) -> np.ndarray:
     n = np.asarray(axis, dtype=float)
     if n.shape != (3,):
         raise ValueError("axis must be a 3-vector")
-    if abs(np.linalg.norm(n) - 1.0) > tol:
+    if abs(np.linalg.norm(n) - 1.0) > 1e-9:
         raise ValueError(f"axis must be a unit vector, got norm {np.linalg.norm(n)}")
     return n
 
@@ -116,25 +115,20 @@ class DensityMatrix:
 
     __slots__ = ("_mat",)
 
-    def __init__(self, mat, *, herm_tol: float | None = None,
-                 trace_tol: float | None = None, psd_tol: float | None = None):
-        herm_tol = HERMITICITY_TOL if herm_tol is None else herm_tol
-        trace_tol = TRACE_TOL if trace_tol is None else trace_tol
-        psd_tol = PSD_TOL if psd_tol is None else psd_tol
-
+    def __init__(self, mat):
         mat = np.array(mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvalidStateError(f"density matrix must be square, got shape {mat.shape}")
         if mat.shape[0] not in ALLOWED_DIMS:
             raise InvalidStateError(f"dimension must be one of {ALLOWED_DIMS}, got {mat.shape[0]}")
         herm_err = np.max(np.abs(mat - mat.conj().T))
-        if herm_err > herm_tol:
+        if herm_err > HERMITICITY_TOL:
             raise InvalidStateError(f"not Hermitian: max deviation {herm_err:.3e}")
         tr_err = abs(mat.trace() - 1.0)
-        if tr_err > trace_tol:
+        if tr_err > TRACE_TOL:
             raise InvalidStateError(f"trace differs from 1 by {tr_err:.3e}")
         evals = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
-        if evals.min() < psd_tol:
+        if evals.min() < PSD_TOL:
             raise InvalidStateError(f"not positive semidefinite: min eigenvalue {evals.min():.3e}")
         self._mat = mat
         self._mat.flags.writeable = False
@@ -156,11 +150,11 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
-def ket_density(psi, tol: float = 1e-12) -> DensityMatrix:
+def ket_density(psi) -> DensityMatrix:
     """Density matrix |psi><psi| of a normalized state vector."""
     v = np.asarray(psi, dtype=complex).reshape(-1)
     nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > tol:
+    if abs(nrm - 1.0) > 1e-12:
         raise InvalidStateError(f"state vector norm {nrm} differs from 1")
     return DensityMatrix(np.outer(v, v.conj()))
 

@@ -24,12 +24,12 @@ import numpy as np
 
 from .qmat import (
     _I2,
+    SIGMA_DOT_SIGMA,
     DensityMatrix,
     decompose,
     kron,
     n_dot_sigma,
     pauli,
-    pauli_pair,
     unit_axis,
 )
 
@@ -40,11 +40,6 @@ CONDITION_LIMIT = 1e12
 BLOCK_CACHE_SIZE = 64
 
 _I4 = np.eye(4, dtype=complex)
-
-# Exchange between the flying spin and one static spin, acting on
-# (flying, static): sigma_f . sigma_s.
-EXCHANGE_4 = sum(pauli_pair(k, k) for k in (1, 2, 3))
-EXCHANGE_4.flags.writeable = False
 
 # Gather indices lifting an operator on (flying, one static) to (flying, q1, q2):
 # entry [i, j] of the 8x8 lift is entry _LIFT[which][i, j] of the flattened
@@ -237,7 +232,7 @@ def qubit_t_single(params: ScatterParams) -> np.ndarray:
 
     t = [I + i*omega*(sigma_f . sigma_s)]^-1.
     """
-    return np.linalg.inv(_I4 + 1j * _grid(params.omega) * EXCHANGE_4)
+    return np.linalg.inv(_I4 + 1j * _grid(params.omega) * SIGMA_DOT_SIGMA)
 
 
 def qubit_block(params: ScatterParams) -> ScatterBlock:
@@ -407,15 +402,14 @@ def transmitted_polarization(params: ScatterParams, rho: DensityMatrix) -> np.nd
 
     Closed form at kd_phase = 0:
         <sigma_f>_out = 6 w2 / [(1 + 16 w2)(1 + 4 w2)] * <sigma_1 + sigma_2> / P_T.
+    On grid params it returns one 3-vector per omega, on a trailing axis.
     """
-    _check_two_qubit(rho)
-    _require_zero_phase(params)
     pt = pt_unpolarized_closed_form(params, rho)
-    if pt <= 0.0:
+    if np.min(pt) <= 0.0:
         raise RuntimeError("transmission probability vanished; polarization undefined")
-    w2 = params.omega ** 2
-    pref = 6.0 * w2 / ((1.0 + 16.0 * w2) * (1.0 + 4.0 * w2))
-    return pref * sigma_sum_expectation(rho) / pt
+    w2 = _omega_squared(params)
+    pref = np.asarray(6.0 * w2 / ((1.0 + 16.0 * w2) * (1.0 + 4.0 * w2)))[..., None]
+    return pref * sigma_sum_expectation(rho) / np.asarray(pt)[..., None]
 
 
 def pt_polarized_input(params: ScatterParams, rho: DensityMatrix, axis,
@@ -437,7 +431,7 @@ def pt_polarized_input(params: ScatterParams, rho: DensityMatrix, axis,
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     n = unit_axis(axis)
-    w2 = params.omega ** 2
+    w2 = _omega_squared(params)
     coeff = 2.0 * w2 / ((1.0 + 16.0 * w2) * (1.0 + 4.0 * w2))
     base = pt_unpolarized_closed_form(params, rho)
     return base + sign * coeff * float(np.dot(sigma_sum_expectation(rho), n))

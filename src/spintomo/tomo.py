@@ -9,8 +9,9 @@ built generically by conjugating the setting's effective observable with its
 gate sequence and decomposing in the Pauli basis, so no hand-derived
 coefficient formulas enter.  A setting builds its rows once; a readout is P_T
 or numerator / P_T off them, and a total transmission's P_T row is also its
-design row.  Each standard plan is built once per (mode, params), so
-repeated experiments share its settings and their rows.
+design row.  Every standard plan is read off one table of setting specs and
+built once per (mode, params), so repeated experiments share its settings
+and their rows.
 
 Supported reconstruction modes:
 
@@ -21,8 +22,9 @@ Supported reconstruction modes:
   single_qubit_ancilla one unknown qubit probed via a polarized ancilla
   first_qubit_marginal ancilla settings per register qubit; returns both
                        one-qubit marginals of a two-qubit register
-  pure_state           nonlinear fit of a pure state: a ket in C^4, every
-                       start at once by damped Gauss-Newton
+  pure_state           nonlinear fit of a pure state: a ket in C^4 by batched
+                       damped Gauss-Newton; noiseless records fit the sign
+                       branches first, noisy ones every start at once
 """
 from __future__ import annotations
 
@@ -33,7 +35,6 @@ import numpy as np
 
 from . import gates as g
 from .qmat import (
-    AXIS_VECTORS,
     DensityMatrix,
     PAULI_BASIS,
     PAULI_PAIRS,
@@ -59,8 +60,28 @@ PLAN_CACHE_SIZE = 64
 # The unpolarized flying spin, shared read-only by every setting without an injector.
 _UNPOLARIZED = maximally_mixed(2)
 
-MODES = ("two_qubit_gates", "two_qubit_polarized", "single_qubit_ancilla",
-         "first_qubit_marginal", "pure_state")
+# The standard plans, one entry per mode.  Specs are keyed by their label
+# prefix: an unpolarized setting "u" is its gate sequence text; a polarized
+# injection "pol" is (sign, axis, text); an ancilla probe "anc" is
+# (axis, target).  A plan lists its settings in the table's order, which
+# fixes run_plan's per-setting seeds.
+_SINGLE_QUBIT_GATES = ("identity", "X@2", "Y@2", "Ry90@2", "H@2", "Rz90@2", "Rz90@2,Y@2",
+                       "Rx90@2", "Rx90@2,Z@2")
+_AXIS_INJECTIONS = tuple((sign, axis, "identity") for axis in "xyz" for sign in "+-")
+_CATALOGUE = {
+    "two_qubit_gates": {"u": _SINGLE_QUBIT_GATES + (
+        "sqrtSWAP@12,Rx90@2", "Rz90@2,sqrtSWAP@12,Rx90@2", "sqrtSWAP@12,Ry90@2",
+        "Rx90@2,sqrtSWAP@12,Ry90@2", "sqrtSWAP@12,Rz90@2", "Ry90@2,sqrtSWAP@12,Rz90@2")},
+    "two_qubit_polarized": {"u": _SINGLE_QUBIT_GATES, "pol": _AXIS_INJECTIONS + (
+        ("+", "y", "X@2"), ("+", "z", "X@2"), ("+", "x", "Y@2"),
+        ("-", "y", "X@2"), ("-", "z", "X@2"), ("-", "x", "Y@2"))},
+    "single_qubit_ancilla": {"anc": tuple((axis, None) for axis in "xyz")},
+    "first_qubit_marginal": {"anc": tuple((axis, target) for target in ("first", "second")
+                                          for axis in "xyz")},
+    "pure_state": {"u": ("identity", "X@2", "Y@2", "Z@2", "Rx90@2", "Ry90@2", "Rz90@2"),
+                   "pol": _AXIS_INJECTIONS},
+}
+MODES = tuple(_CATALOGUE)
 
 
 class FlatDesignError(ValueError):
@@ -412,53 +433,24 @@ def reconstruct_two_qubit(records, plan: TomographyPlan) -> tuple:
     return rho, decompose(rho), diagnostics
 
 
-def _gate_settings(params: ScatterParams) -> list:
-    seqs = [
-        ("identity", g.IDENTITY_SEQUENCE),
-        ("X@2", g.sequence("X@2")),
-        ("Y@2", g.sequence("Y@2")),
-        ("Ry90@2", g.sequence("Ry90@2")),
-        ("H@2", g.sequence("H@2")),
-        ("Rz90@2", g.sequence("Rz90@2")),
-        ("Rz90@2,Y@2", g.sequence("Rz90@2", "Y@2")),
-        ("Rx90@2", g.sequence("Rx90@2")),
-        ("Rx90@2,Z@2", g.sequence("Rx90@2", "Z@2")),
-    ]
-    return [MeasurementSetting(params=params, seq=s, label=f"u:{name}")
-            for name, s in seqs]
+def _unpolarized(params: ScatterParams, text: str) -> MeasurementSetting:
+    return MeasurementSetting(params=params, seq=g.parse_sequence(text), label=f"u:{text}")
 
 
-def _swap_settings(params: ScatterParams) -> list:
-    seqs = [
-        ("sqrtSWAP@12,Rx90@2", g.sequence("sqrtSWAP@12", "Rx90@2")),
-        ("Rz90@2,sqrtSWAP@12,Rx90@2", g.sequence("Rz90@2", "sqrtSWAP@12", "Rx90@2")),
-        ("sqrtSWAP@12,Ry90@2", g.sequence("sqrtSWAP@12", "Ry90@2")),
-        ("Rx90@2,sqrtSWAP@12,Ry90@2", g.sequence("Rx90@2", "sqrtSWAP@12", "Ry90@2")),
-        ("sqrtSWAP@12,Rz90@2", g.sequence("sqrtSWAP@12", "Rz90@2")),
-        ("Ry90@2,sqrtSWAP@12,Rz90@2", g.sequence("Ry90@2", "sqrtSWAP@12", "Rz90@2")),
-    ]
-    return [MeasurementSetting(params=params, seq=s, label=f"u:{name}")
-            for name, s in seqs]
+def _polarized(params: ScatterParams, spec: tuple) -> MeasurementSetting:
+    sign, axis, text = spec
+    return MeasurementSetting(params=params, seq=g.parse_sequence(text), injector_axis=axis,
+                              injector_sign=1 if sign == "+" else -1,
+                              label=f"pol:{sign}{axis}:{text}")
 
 
-def _polarized_settings(params: ScatterParams) -> list:
-    out = []
-    for name, axis in AXIS_VECTORS.items():
-        for sign in (+1, -1):
-            out.append(MeasurementSetting(
-                params=params, injector_axis=axis, injector_sign=sign,
-                label=f"pol:{'+' if sign > 0 else '-'}{name}:identity"))
-    for sign in (+1, -1):
-        for name in ("y", "z"):  # after X@2
-            out.append(MeasurementSetting(
-                params=params, seq=g.sequence("X@2"), injector_axis=AXIS_VECTORS[name],
-                injector_sign=sign,
-                label=f"pol:{'+' if sign > 0 else '-'}{name}:X@2"))
-        out.append(MeasurementSetting(
-            params=params, seq=g.sequence("Y@2"),
-            injector_axis=AXIS_VECTORS["x"], injector_sign=sign,
-            label=f"pol:{'+' if sign > 0 else '-'}x:Y@2"))
-    return out
+def _ancilla(params: ScatterParams, spec: tuple) -> MeasurementSetting:
+    axis, target = spec
+    return MeasurementSetting(params=params, ancilla_axis=axis, marginal_target=target,
+                              label=f"anc:{axis}" + (f":{target}" if target else ""))
+
+
+_BUILDERS = {"u": _unpolarized, "pol": _polarized, "anc": _ancilla}
 
 
 def plan_standard(mode: str, params: ScatterParams) -> TomographyPlan:
@@ -476,39 +468,11 @@ def plan_standard(mode: str, params: ScatterParams) -> TomographyPlan:
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _standard_plan(mode: str, params: ScatterParams) -> TomographyPlan:
-    if mode == "two_qubit_gates":
-        settings = _gate_settings(params) + _swap_settings(params)
-    elif mode == "two_qubit_polarized":
-        settings = _gate_settings(params) + _polarized_settings(params)
-    elif mode == "single_qubit_ancilla":
-        settings = [MeasurementSetting(params=params, ancilla_axis=axis,
-                                       label=f"anc:{name}")
-                    for name, axis in AXIS_VECTORS.items()]
-    elif mode == "first_qubit_marginal":
-        settings = [MeasurementSetting(params=params, ancilla_axis=axis,
-                                       marginal_target=target,
-                                       label=f"anc:{name}:{target}")
-                    for target in ("first", "second")
-                    for name, axis in AXIS_VECTORS.items()]
-    elif mode == "pure_state":
-        settings = [MeasurementSetting(params=params, seq=s, label=f"u:{name}")
-                    for name, s in [
-                        ("identity", g.IDENTITY_SEQUENCE),
-                        ("X@2", g.sequence("X@2")),
-                        ("Y@2", g.sequence("Y@2")),
-                        ("Z@2", g.sequence("Z@2")),
-                        ("Rx90@2", g.sequence("Rx90@2")),
-                        ("Ry90@2", g.sequence("Ry90@2")),
-                        ("Rz90@2", g.sequence("Rz90@2")),
-                    ]]
-        for name, axis in AXIS_VECTORS.items():
-            for sign in (+1, -1):
-                settings.append(MeasurementSetting(
-                    params=params, injector_axis=axis, injector_sign=sign,
-                    label=f"pol:{'+' if sign > 0 else '-'}{name}:identity"))
-    else:
+    if mode not in _CATALOGUE:
         raise ValueError(f"unknown mode {mode!r}")
-    return TomographyPlan(mode=mode, settings=tuple(settings))
+    return TomographyPlan(mode=mode, settings=tuple(
+        _BUILDERS[kind](params, spec)
+        for kind, specs in _CATALOGUE[mode].items() for spec in specs))
 
 
 @dataclass(frozen=True)

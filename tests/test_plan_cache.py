@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from spintomo import gates as g
 from spintomo import tomo
@@ -69,6 +70,56 @@ def test_grid_params_and_unknown_modes_raise_value_error():
     for _ in range(2):  # a failed build is not cached
         with pytest.raises(ValueError, match="unknown mode"):
             tomo.plan_standard("bogus", ScatterParams(0.9))
+
+
+_UNIT_GATES = ["u:identity", "u:X@2", "u:Y@2", "u:Ry90@2", "u:H@2", "u:Rz90@2",
+               "u:Rz90@2,Y@2", "u:Rx90@2", "u:Rx90@2,Z@2"]
+_AXIS_INJECTIONS = ["pol:+x:identity", "pol:-x:identity", "pol:+y:identity",
+                    "pol:-y:identity", "pol:+z:identity", "pol:-z:identity"]
+# Each plan's order fixes run_plan's per-setting seeds, so it is pinned too.
+CATALOGUE = {
+    "two_qubit_gates": _UNIT_GATES + [
+        "u:sqrtSWAP@12,Rx90@2", "u:Rz90@2,sqrtSWAP@12,Rx90@2", "u:sqrtSWAP@12,Ry90@2",
+        "u:Rx90@2,sqrtSWAP@12,Ry90@2", "u:sqrtSWAP@12,Rz90@2", "u:Ry90@2,sqrtSWAP@12,Rz90@2"],
+    "two_qubit_polarized": _UNIT_GATES + _AXIS_INJECTIONS + [
+        "pol:+y:X@2", "pol:+z:X@2", "pol:+x:Y@2", "pol:-y:X@2", "pol:-z:X@2", "pol:-x:Y@2"],
+    "single_qubit_ancilla": ["anc:x", "anc:y", "anc:z"],
+    "first_qubit_marginal": ["anc:x:first", "anc:y:first", "anc:z:first",
+                             "anc:x:second", "anc:y:second", "anc:z:second"],
+    "pure_state": ["u:identity", "u:X@2", "u:Y@2", "u:Z@2", "u:Rx90@2", "u:Ry90@2",
+                   "u:Rz90@2"] + _AXIS_INJECTIONS,
+}
+
+
+def _axis(name):
+    return np.eye(3)[["x", "y", "z"].index(name)]
+
+
+@pytest.mark.parametrize("mode", tomo.MODES)
+def test_standard_plan_catalogue(mode):
+    plan = tomo.plan_standard(mode, ScatterParams(0.7, 0.4))
+    assert tuple(CATALOGUE) == tomo.MODES
+    assert [s.label for s in plan.settings] == CATALOGUE[mode]
+    for s in plan.settings:
+        kind, _, rest = s.label.partition(":")
+        assert s.detector_axis is None
+        if kind == "u":
+            assert g.format_sequence(s.seq) == rest
+            assert s.injector_axis is None and s.ancilla_axis is None
+        elif kind == "pol":
+            spec, _, text = rest.partition(":")
+            assert g.format_sequence(s.seq) == text
+            assert s.injector_sign == {"+": 1, "-": -1}[spec[0]]
+            assert_array_equal(s.injector_axis, _axis(spec[1:]))
+            assert s.ancilla_axis is None
+        else:
+            assert kind == "anc"
+            axis, _, target = rest.partition(":")
+            assert_array_equal(s.ancilla_axis, _axis(axis))
+            assert s.marginal_target == (target or None)
+            assert len(s.seq) == 0 and s.injector_axis is None
+        if kind != "anc":
+            assert s.marginal_target is None
 
 
 @pytest.mark.parametrize("kd", [0.0, 0.4])

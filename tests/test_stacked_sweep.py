@@ -23,9 +23,11 @@ from spintomo.scatter import (
     frozen_block,
     frozen_pair_pt,
     full_input_state,
+    pt_polarized_input,
     pt_unpolarized_closed_form,
     qubit_block,
     transmission_probability,
+    transmitted_polarization,
     two_impurity_block,
     two_impurity_cascade,
 )
@@ -84,10 +86,20 @@ def test_stacked_theta_grid_matches_points(omega, kd, thetas):
 
 @given(omegas, st.lists(st.floats(0.0, np.pi), min_size=1, max_size=12), seeds)
 def test_closed_forms_on_grids_equal_points(grid, thetas, seed):
-    rho = random_density(4, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    rho = random_density(4, rng)
     closed = pt_unpolarized_closed_form(ScatterParams(grid, 0.0), rho)
     assert_array_equal(closed, [pt_unpolarized_closed_form(ScatterParams(w, 0.0), rho)
                                 for w in grid])
+    pol = transmitted_polarization(ScatterParams(grid, 0.0), rho)
+    assert_array_equal(pol, [transmitted_polarization(ScatterParams(w, 0.0), rho)
+                             for w in grid])
+    n = rng.normal(size=3)
+    n /= np.linalg.norm(n)
+    sign = int(rng.choice([-1, 1]))
+    injected = pt_polarized_input(ScatterParams(grid, 0.0), rho, n, sign)
+    assert_array_equal(injected, [pt_polarized_input(ScatterParams(w, 0.0), rho, n, sign)
+                                  for w in grid])
     pair = frozen_pair_pt(ScatterParams(grid[0], 0.0), np.array(thetas))
     assert_array_equal(pair, [frozen_pair_pt(ScatterParams(grid[0], 0.0), th)
                               for th in thetas])
