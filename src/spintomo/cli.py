@@ -393,9 +393,8 @@ def _suite_plan_rank(rng) -> tuple:
     worst = 0.0
     for mode in ("two_qubit_gates", "two_qubit_polarized"):
         plan = tomo.plan_standard(mode, ScatterParams(1.0, 0.0))
-        a, _ = tomo.build_design_matrix(plan)
-        rank = np.linalg.matrix_rank(a)
-        sv = np.linalg.svd(a, compute_uv=False)
+        a, _, sv = tomo._design(plan.settings)
+        rank = tomo._rank(sv, a.shape)
         worst = max(worst, float(15 - rank), float(sv.max() / sv.min() / 1e4))
     return worst, 1.0
 

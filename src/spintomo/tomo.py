@@ -11,7 +11,8 @@ coefficient formulas enter.  A setting builds its rows once; a readout is P_T
 or numerator / P_T off them, and a total transmission's P_T row is also its
 design row.  Every standard plan is read off one table of setting specs and
 built once per (mode, params), so repeated experiments share its settings
-and their rows.
+and their rows.  A settings tuple's design (stacked rows, offsets and
+singular values) is likewise built once, read-only, in a bounded cache.
 
 Supported reconstruction modes:
 
@@ -316,17 +317,34 @@ def _build_row(setting: MeasurementSetting, flying_out: np.ndarray | None) -> tu
 
 
 def build_design_matrix(plan_or_settings) -> tuple:
-    """Stack setting_row over a plan: returns (matrix, offsets).
+    """Stack setting_row over a plan: returns (matrix, offsets), read-only.
 
     All settings must address the same unknowns (one marginal target at a
-    time for ancilla plans).
+    time for ancilla plans).  Each settings tuple's design is built once
+    (see _design).
     """
-    settings = getattr(plan_or_settings, "settings", plan_or_settings)
-    targets = {_target(s) for s in settings}
-    if len(targets) > 1:
+    a, b, _ = _design(tuple(getattr(plan_or_settings, "settings", plan_or_settings)))
+    return a, b
+
+
+@lru_cache(maxsize=2 * PLAN_CACHE_SIZE)
+def _design(settings: tuple) -> tuple:
+    """(matrix, offsets, singular values) of a settings tuple, read-only.
+
+    A design depends on its settings alone, never on the records, and
+    settings are frozen and hashed by identity, so the stack and its
+    singular values are built once per tuple.  The cache holds two tuples
+    per cached plan, as an ancilla plan splits into two targets.  A refused
+    tuple is not cached, so it raises on every call.
+    """
+    if len({_target(s) for s in settings}) > 1:
         raise ValueError("settings mix different unknowns; split by target first")
     rows, offsets = zip(*(setting_row(s) for s in settings))
-    return np.array(rows), np.array(offsets)
+    a, b = np.array(rows), np.array(offsets)
+    svals = np.linalg.svd(a, compute_uv=False)
+    for v in (a, b, svals):
+        v.flags.writeable = False
+    return a, b, svals
 
 
 def _weights(records) -> np.ndarray:
@@ -349,11 +367,10 @@ def reconstruct_single(records) -> DensityMatrix:
     noise may push the estimate outside the Bloch ball, in which case the
     vector is radially clipped to unit norm.
     """
-    settings = [r.setting for r in records]
+    settings = tuple(r.setting for r in records)
     if any(s.ancilla_axis is None for s in settings):
         raise ValueError("reconstruct_single expects ancilla-based records")
-    a, b = build_design_matrix(settings)
-    svals = np.linalg.svd(a, compute_uv=False)
+    a, b, svals = _design(settings)
     if svals.min() < FLAT_DESIGN_TOL:
         raise FlatDesignError(
             f"design is flat: smallest singular value {svals.min():.3e}; "
@@ -405,11 +422,10 @@ def reconstruct_two_qubit(records, plan: TomographyPlan) -> tuple:
     design rank and condition number, the weighted residual norm, and what
     the positivity repair had to do (if anything).
     """
-    settings = [r.setting for r in records]
+    settings = tuple(r.setting for r in records)
     if len(settings) != len(plan.settings):
         raise ValueError("records do not match the plan")
-    a, b = build_design_matrix(settings)
-    svals = np.linalg.svd(a, compute_uv=False)
+    a, b, svals = _design(settings)
     rank = _rank(svals, a.shape)
     if rank < 15:
         raise RankDeficientPlanError(

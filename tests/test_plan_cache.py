@@ -1,8 +1,10 @@
-"""Standard plans are built once per (mode, ScatterParams) and run_plan reads
-every record off the plan's cached rows.
+"""Standard plans are built once per (mode, ScatterParams), run_plan reads
+every record off the plan's cached rows, and each settings tuple's design is
+built once.
 
-The references here are an uncached plan build and a per-setting measure
-loop; records must equal them bit for bit.
+The references here are an uncached plan build, a per-setting measure loop,
+and an uncached design stack with its own SVD; records, designs and
+estimates must equal them bit for bit.
 """
 import dataclasses
 import json
@@ -14,7 +16,7 @@ from numpy.testing import assert_array_equal
 
 from spintomo import gates as g
 from spintomo import tomo
-from spintomo.qmat import random_density
+from spintomo.qmat import DensityMatrix, assemble_array, decompose, random_density
 from spintomo.scatter import ScatterParams
 
 SHOTS = (0, 10_000, 100_000)
@@ -206,3 +208,110 @@ def test_equal_params_serialize_alike():
     tomo.plan_standard("two_qubit_gates", ScatterParams(2, 0))
     obj = tomo.plan_to_json(tomo.plan_standard("two_qubit_gates", ScatterParams(2.0, 0.0)))
     assert json.dumps(obj["settings"][0]).startswith('{"omega": 2.0, "kd_phase": 0.0,')
+
+
+def uncached_design(settings):
+    """build_design_matrix as a plain stack of setting_row."""
+    rows, offsets = zip(*(tomo.setting_row(s) for s in settings))
+    return np.array(rows), np.array(offsets)
+
+
+def by_target(plan):
+    groups = {}
+    for s in plan.settings:
+        groups.setdefault(tomo._target(s), []).append(s)
+    return list(groups.values())
+
+
+@pytest.mark.parametrize("mode", tomo.MODES)
+def test_design_equals_uncached_stack_and_is_read_only(mode):
+    plan = tomo.plan_standard(mode, ScatterParams(0.7, 0.4))
+    for settings in by_target(plan):
+        a, b = tomo.build_design_matrix(settings)
+        ref_a, ref_b = uncached_design(settings)
+        assert_array_equal(a, ref_a)
+        assert_array_equal(b, ref_b)
+        assert a.dtype == ref_a.dtype and b.dtype == ref_b.dtype
+        _, _, svals = tomo._design(tuple(settings))
+        assert_array_equal(svals, np.linalg.svd(ref_a, compute_uv=False))
+        for v in (a, b, svals):
+            with pytest.raises(ValueError):
+                v[0] = 0.0
+
+
+def test_repeat_design_is_a_cache_hit():
+    plan = tomo.plan_standard("two_qubit_polarized", ScatterParams(1.05, 0.15))
+    a, b = tomo.build_design_matrix(plan)
+    before = tomo._design.cache_info()
+    again = tomo.build_design_matrix(list(plan.settings))
+    after = tomo._design.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert again[0] is a and again[1] is b
+
+
+def test_json_round_trip_is_a_miss_with_an_equal_design():
+    plan = tomo.plan_standard("two_qubit_gates", ScatterParams(0.85, 0.35))
+    a, b = tomo.build_design_matrix(plan)
+    copy = tomo.plan_from_json(json.loads(json.dumps(tomo.plan_to_json(plan))))
+    assert all(c is not s for c, s in zip(copy.settings, plan.settings))
+    before = tomo._design.cache_info()
+    a2, b2 = tomo.build_design_matrix(copy)
+    after = tomo._design.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses + 1)
+    assert a2 is not a
+    assert_array_equal(a2, a)
+    assert_array_equal(b2, b)
+
+
+def uncached_reconstruct_two_qubit(records):
+    """reconstruct_two_qubit with a fresh stack and SVD, as it was before
+    designs were cached."""
+    a, b = uncached_design([r.setting for r in records])
+    svals = np.linalg.svd(a, compute_uv=False)
+    y = np.array([r.observed_value for r in records]) - b
+    x, _, _, resid = tomo._solve_weighted(a, y, tomo._weights(records))
+    repaired, proj_dist, min_eig = tomo._psd_repair(assemble_array(x))
+    return DensityMatrix(repaired), {
+        "rank": int(np.linalg.matrix_rank(a)),
+        "condition_number": float(svals.max() / svals.min()),
+        "weighted_residual": resid,
+        "min_eigenvalue": min_eig,
+        "psd_repaired": proj_dist > 0.0,
+        "projection_distance": proj_dist,
+    }
+
+
+@pytest.mark.parametrize("omega, kd", [(1.0, 0.0), (0.7, 0.4)])
+@pytest.mark.parametrize("mode", ["two_qubit_gates", "two_qubit_polarized"])
+def test_reconstruct_two_qubit_equals_uncached_svd_path(mode, omega, kd):
+    rng = np.random.default_rng(73)
+    plan = tomo.plan_standard(mode, ScatterParams(omega, kd))
+    for shots in SHOTS:
+        records = tomo.run_plan(plan, random_density(4, rng), shots, int(rng.integers(2**31)))
+        ref_rho, ref_diag = uncached_reconstruct_two_qubit(records)
+        for _ in range(2):  # a miss or a hit, then a hit
+            rho, coeffs, diag = tomo.reconstruct_two_qubit(records, plan)
+            assert_array_equal(rho.mat, ref_rho.mat)
+            assert_array_equal(coeffs.a, decompose(ref_rho).a)
+            assert diag == ref_diag
+
+
+def test_refused_designs_raise_on_every_call():
+    marginal = tomo.plan_standard("first_qubit_marginal", ScatterParams(0.9, 0.2))
+    detector = tomo.MeasurementSetting(params=ScatterParams(0.9, 0.2), injector_axis="x",
+                                       detector_axis="z")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="mix different unknowns"):
+            tomo.build_design_matrix(marginal)
+        with pytest.raises(ValueError, match="not affine"):
+            tomo.build_design_matrix([detector])
+
+
+def test_design_cache_stays_bounded():
+    maxsize = 2 * tomo.PLAN_CACHE_SIZE
+    assert tomo._design.cache_info().maxsize == maxsize
+    params = ScatterParams(1.15, 0.05)
+    for k in range(maxsize + 1):
+        tomo.build_design_matrix([tomo.MeasurementSetting(params=params, label=f"u:{k}")])
+        assert tomo._design.cache_info().currsize <= maxsize
+    assert tomo._design.cache_info().currsize == maxsize

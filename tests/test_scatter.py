@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -330,6 +332,58 @@ def test_resonant_cascade_guard():
                           t_prime=np.zeros((dim, dim), dtype=complex))
     with pytest.raises(ResonantCascadeError):
         cascade(mirror, mirror, ScatterParams(1.0))
+
+
+def _mirror(dim):
+    return ScatterBlock(r=-np.eye(dim, dtype=complex), t=np.zeros((dim, dim), dtype=complex),
+                        r_prime=-np.eye(dim, dtype=complex),
+                        t_prime=np.zeros((dim, dim), dtype=complex))
+
+
+@given(k=st.integers(-20, 20), exponent=st.one_of(st.floats(-16.0, -13.0), st.floats(-11.0, -1.0)),
+       sign=st.sampled_from([-1, 1]))
+def test_mirror_cascade_refuses_exactly_near_resonance(k, exponent, sign):
+    # Two lossless mirrors make I - exp(2i kd) I, of singular value 2|sin(kd)|:
+    # a near-zero multiple of the identity within 1e-13 of resonance, which
+    # the guard must refuse, and a regular one from 1e-11 on.
+    delta = sign * 10.0 ** exponent
+    mirror = _mirror(4)
+    params = ScatterParams(1.0, k * np.pi + delta)
+    if abs(delta) <= 1e-13:
+        with pytest.raises(ResonantCascadeError):
+            cascade(mirror, mirror, params)
+    else:
+        assert _unitarity_deviation(cascade(mirror, mirror, params)) <= 1e-10
+
+
+_KD_OFFSET = st.one_of(st.just(0.0), st.builds(lambda sign, e: sign * 10.0 ** e,
+                                               st.sampled_from([-1, 1]), st.floats(-16.0, 0.0)))
+
+
+@given(log_omega=st.floats(-3.0, 4.0), k=st.integers(-6, 6), delta=_KD_OFFSET,
+       pair=st.sampled_from(["frozen", "qubit"]), seed=st.integers(0, 2**32 - 1))
+def test_pairs_near_resonance_refuse_or_transmit_a_probability(log_omega, k, delta, pair, seed):
+    # Near kd = k pi a strong pair may refuse (the cascade guard, or the
+    # unitarity check of its result), but whatever it returns is a finite
+    # probability, and no step may warn.
+    rng = np.random.default_rng(seed)
+    params = ScatterParams(10.0 ** log_omega, k * np.pi + delta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            if pair == "frozen":
+                n1, n2 = (FrozenSpin(v / np.linalg.norm(v)) for v in rng.normal(size=(2, 3)))
+                block = cascade(frozen_block(params, n1), frozen_block(params, n2), params)
+                pt = transmission_probability(block, maximally_mixed(2))
+            else:
+                pt = transmission_probability(two_impurity_cascade(params),
+                                              random_density(8, rng))
+        except ResonantCascadeError:
+            return
+        except ValueError as exc:
+            assert "not unitary" in str(exc)
+            return
+    assert np.isfinite(pt) and -1e-12 <= pt <= 1.0 + 1e-12
 
 
 def test_full_input_state_shape():
