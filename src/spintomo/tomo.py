@@ -1,15 +1,13 @@
 """State reconstruction from transmission measurements.
 
 A measurement setting fixes the scattering parameters, the gate sequence
-applied to the static register beforehand, and the flying-spin injector and
-detector polarizations.  The transmission probability P_T is affine in the
-unknown state, and so is the numerator of a conditional polarization (n.sigma
-on the transmitted flying spin in place of the identity).  Each such row is
-built generically by conjugating the setting's effective observable with its
-gate sequence and decomposing in the Pauli basis, so no hand-derived
-coefficient formulas enter.  A setting builds its rows once; a readout is P_T
-or numerator / P_T off them, and a total transmission's P_T row is also its
-design row.  Every standard plan is read off one table of setting specs and
+applied to the static register beforehand, and the flying-spin injector
+polarization.  Its one readout, the transmission probability P_T, is affine
+in the unknown state: P_T = offset + row . unknowns.  The row is built
+generically by conjugating the setting's effective observable with its gate
+sequence and decomposing in the Pauli basis, so no hand-derived coefficient
+formulas enter.  A setting builds its row once, and simulation and inversion
+share it.  Every standard plan is read off one table of setting specs and
 built once per (mode, params), so repeated experiments share its settings
 and their rows.  A settings tuple's design (stacked rows, offsets and
 singular values) is likewise built once, read-only, in a bounded cache.
@@ -43,7 +41,6 @@ from .qmat import (
     bloch,
     decompose,
     maximally_mixed,
-    n_dot_sigma,
     partial_trace,
     pauli,
     polarized_qubit,
@@ -99,27 +96,25 @@ class PureFitError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class MeasurementSetting:
-    """One transmission experiment: gates, injector, detector, geometry.
+    """One transmission experiment: gates, injector, geometry.
 
+    The recorded value is the total transmission probability P_T.
     injector_axis None means unpolarized input; otherwise the flying spin is
-    the pure state along injector_sign * injector_axis.  detector_axis None
-    means total transmission is recorded; otherwise the mean transmitted
-    polarization along that axis (conditional on transmission).  For
-    ancilla-based settings, ancilla_axis gives the ancilla polarization
-    and marginal_target picks which register qubit the ancilla probes.
+    the pure state along injector_sign * injector_axis.  For ancilla-based
+    settings, ancilla_axis gives the ancilla polarization and
+    marginal_target picks which register qubit the ancilla probes.
     """
 
     params: ScatterParams
     seq: g.GateSequence = g.IDENTITY_SEQUENCE
     injector_axis: np.ndarray | None = None
     injector_sign: int = +1
-    detector_axis: np.ndarray | None = None
     ancilla_axis: np.ndarray | None = None
     marginal_target: str | None = None
     label: str = ""
 
     def __post_init__(self):
-        for name in ("injector_axis", "detector_axis", "ancilla_axis"):
+        for name in ("injector_axis", "ancilla_axis"):
             v = getattr(self, name)
             if v is not None:
                 v = unit_axis(v).copy()
@@ -131,13 +126,21 @@ class MeasurementSetting:
             raise ValueError(f"marginal_target must be first/second, got {self.marginal_target!r}")
 
     @cached_property
-    def _rows(self) -> tuple:
-        # A setting is immutable, so its rows are built on first use only:
-        # (row, offset) of P_T, then of the polarization numerator if any.
-        rows = (_build_row(self, None),)
-        if self.detector_axis is not None:
-            rows += (_build_row(self, n_dot_sigma(self.detector_axis)),)
-        return rows
+    def _row(self) -> tuple:
+        """(row, offset) of P_T against the setting's unknowns.  A setting is
+        immutable, so this is built on first use only."""
+        block = two_impurity_block(self.params)
+        e_pair = _effective_observable(block.t, _flying_state(self).mat)
+        e_pair = g.conjugate_observable(self.seq, e_pair)
+        # c[i, j] = trace(E sigma_i (x) sigma_j) / 4, so the value is sum_ij c_ij a_ij.
+        c = np.einsum("ij,kji->k", e_pair, PAULI_BASIS).real.reshape(4, 4) / 4.0
+        if self.ancilla_axis is not None:
+            # The ancilla's coefficients (1, n) are known; contract them out.
+            c = np.concatenate(([1.0], self.ancilla_axis)) @ c
+        c = c.ravel()
+        row = c[1:]
+        row.flags.writeable = False
+        return row, float(c[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,26 +190,15 @@ def _unknowns(setting: MeasurementSetting, rho: DensityMatrix) -> np.ndarray:
     return np.array(bloch(target))
 
 
-def _readout(setting: MeasurementSetting, unknowns: np.ndarray) -> tuple:
-    """(value, P_T) of the setting on a target with these unknowns: the
-    value is P_T itself, or for a detector the numerator row's value / P_T."""
-    rows = setting._rows
-    pt = rows[0][1] + float(rows[0][0] @ unknowns)
-    if setting.detector_axis is None:
-        return pt, pt
-    if pt <= 0.0:
-        raise RuntimeError("no transmission; conditional polarization undefined")
-    return (rows[1][1] + float(rows[1][0] @ unknowns)) / pt, pt
+def _readout(setting: MeasurementSetting, unknowns: np.ndarray) -> float:
+    """P_T of the setting on a target with these unknowns."""
+    row, offset = setting._row
+    return offset + float(row @ unknowns)
 
 
 def ideal_value(setting: MeasurementSetting, rho: DensityMatrix) -> float:
-    """Noise-free value of the setting's readout on the given true state.
-
-    Both readouts come off the setting's affine rows: a total transmission
-    is P_T = offset + row . unknowns, a conditional polarization the ratio of
-    its numerator row's value to that P_T.
-    """
-    return _readout(setting, _unknowns(setting, rho))[0]
+    """Noise-free P_T of the setting on the given true state."""
+    return _readout(setting, _unknowns(setting, rho))
 
 
 def measure(setting: MeasurementSetting, rho: DensityMatrix, shots: int,
@@ -219,32 +211,18 @@ def measure(setting: MeasurementSetting, rho: DensityMatrix, shots: int,
     """
     if shots < 0:
         raise ValueError("shots must be nonnegative")
-    return _sample(setting, *_readout(setting, _unknowns(setting, rho)), shots, rng_seed)
+    return _sample(setting, _readout(setting, _unknowns(setting, rho)), shots, rng_seed)
 
 
-def _sample(setting: MeasurementSetting, ideal: float, pt: float,
-            shots: int, rng_seed) -> MeasurementRecord:
-    """measure's record for a setting whose noise-free value is ideal and
-    whose transmission probability is pt."""
+def _sample(setting: MeasurementSetting, pt: float, shots: int, rng_seed) -> MeasurementRecord:
+    """measure's record for a setting whose transmission probability is pt."""
     if shots == 0:
-        return MeasurementRecord(setting, ideal, 0, ideal, 0.0)
+        return MeasurementRecord(setting, pt, 0, pt, 0.0)
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-
     n_t = int(rng.binomial(shots, min(max(pt, 0.0), 1.0)))
-    if setting.detector_axis is None:
-        p_smooth = (n_t + 1.0) / (shots + 2.0)
-        se = float(np.sqrt(p_smooth * (1.0 - p_smooth) / shots))
-        return MeasurementRecord(setting, ideal, shots, n_t / shots, se)
-
-    # Polarization detection: only transmitted shots produce a +-1 outcome.
-    if n_t == 0:
-        return MeasurementRecord(setting, ideal, shots, 0.0, 1.0)
-    p_up = 0.5 * (1.0 + min(max(ideal, -1.0), 1.0))
-    ups = int(rng.binomial(n_t, p_up))
-    observed = (2.0 * ups - n_t) / n_t
-    p_smooth = (ups + 1.0) / (n_t + 2.0)
-    se = float(np.sqrt(4.0 * p_smooth * (1.0 - p_smooth) / n_t))
-    return MeasurementRecord(setting, ideal, shots, observed, se)
+    p_smooth = (n_t + 1.0) / (shots + 2.0)
+    se = float(np.sqrt(p_smooth * (1.0 - p_smooth) / shots))
+    return MeasurementRecord(setting, pt, shots, n_t / shots, se)
 
 
 def run_plan(plan: TomographyPlan, rho: DensityMatrix, shots: int,
@@ -267,53 +245,27 @@ def run_plan(plan: TomographyPlan, rho: DensityMatrix, shots: int,
         target = _target(s)
         if target not in unknowns:
             unknowns[target] = _unknowns(s, rho)
-        records.append(_sample(s, *_readout(s, unknowns[target]), shots, ss))
+        records.append(_sample(s, _readout(s, unknowns[target]), shots, ss))
     return records
 
 
-def _effective_observable(block_t: np.ndarray, rho_f: np.ndarray,
-                          flying_out: np.ndarray | None = None) -> np.ndarray:
-    """E with trace(t^dag (O (x) I) t (rho_f (x) rho_s)) = trace(E rho_s).
-
-    O is flying_out, an operator on the transmitted flying spin; None is the
-    identity, which makes trace(E rho_s) the transmission probability.
-    """
+def _effective_observable(block_t: np.ndarray, rho_f: np.ndarray) -> np.ndarray:
+    """E with trace(t^dag t (rho_f (x) rho_s)) = trace(E rho_s), so that
+    trace(E rho_s) is the transmission probability."""
     d_s = block_t.shape[0] // 2
-    t_out = block_t if flying_out is None else np.kron(flying_out, np.eye(d_s)) @ block_t
-    a = block_t.conj().T @ t_out
-    m = a.reshape(2, d_s, 2, d_s)
+    m = (block_t.conj().T @ block_t).reshape(2, d_s, 2, d_s)
     return np.einsum("fsgu,gf->su", m, rho_f)
 
 
 def setting_row(setting: MeasurementSetting) -> tuple:
-    """Design-matrix row and offset of one total-transmission setting.
+    """Design-matrix row and offset of one setting.
 
     For register settings the row has 15 entries (the value is
     offset + row . a-vector); for ancilla settings it has 3 entries against
     the target qubit's Bloch vector.  The row is built once per setting and
     is read-only.
     """
-    if setting.detector_axis is not None:
-        raise ValueError("conditional polarization readouts are not affine; "
-                         "use +-axis injection settings instead")
-    return setting._rows[0]
-
-
-def _build_row(setting: MeasurementSetting, flying_out: np.ndarray | None) -> tuple:
-    """(row, offset) of trace((O (x) I) t rho_in t^dag) against the setting's
-    unknowns, O being flying_out (None: the identity, giving P_T)."""
-    block = two_impurity_block(setting.params)
-    e_pair = _effective_observable(block.t, _flying_state(setting).mat, flying_out)
-    e_pair = g.conjugate_observable(setting.seq, e_pair)
-    # c[i, j] = trace(E sigma_i (x) sigma_j) / 4, so the value is sum_ij c_ij a_ij.
-    c = np.einsum("ij,kji->k", e_pair, PAULI_BASIS).real.reshape(4, 4) / 4.0
-    if setting.ancilla_axis is not None:
-        # The ancilla's coefficients (1, n) are known; contract them out.
-        c = np.concatenate(([1.0], setting.ancilla_axis)) @ c
-    c = c.ravel()
-    row = c[1:]
-    row.flags.writeable = False
-    return row, float(c[0])
+    return setting._row
 
 
 def build_design_matrix(plan_or_settings) -> tuple:
@@ -426,6 +378,9 @@ def reconstruct_two_qubit(records, plan: TomographyPlan) -> tuple:
     if len(settings) != len(plan.settings):
         raise ValueError("records do not match the plan")
     a, b, svals = _design(settings)
+    # A uniformly small design passes the relative rank test below.
+    if svals.max() < FLAT_DESIGN_TOL:
+        raise FlatDesignError(f"design is flat: largest singular value {svals.max():.3e}")
     rank = _rank(svals, a.shape)
     if rank < 15:
         raise RankDeficientPlanError(
@@ -817,7 +772,7 @@ def setting_to_json(s: MeasurementSetting) -> dict:
         "seq": g.format_sequence(s.seq),
         "injector_axis": None if s.injector_axis is None else [float(v) for v in s.injector_axis],
         "injector_sign": s.injector_sign,
-        "detector_axis": None if s.detector_axis is None else [float(v) for v in s.detector_axis],
+        "detector_axis": None,
         "ancilla_axis": None if s.ancilla_axis is None else [float(v) for v in s.ancilla_axis],
         "marginal_target": s.marginal_target,
         "label": s.label,
@@ -825,6 +780,11 @@ def setting_to_json(s: MeasurementSetting) -> dict:
 
 
 def setting_from_json(obj: dict) -> MeasurementSetting:
+    # The format keeps the field, but a setting records total transmission
+    # only, so a detector axis is refused rather than dropped.
+    if obj.get("detector_axis") is not None:
+        raise ValueError("detector_axis readouts are not supported")
+
     def _axis(v):
         return None if v is None else np.array(v, dtype=float)
     return MeasurementSetting(
@@ -832,7 +792,6 @@ def setting_from_json(obj: dict) -> MeasurementSetting:
         seq=g.parse_sequence(obj["seq"]),
         injector_axis=_axis(obj.get("injector_axis")),
         injector_sign=int(obj.get("injector_sign", 1)),
-        detector_axis=_axis(obj.get("detector_axis")),
         ancilla_axis=_axis(obj.get("ancilla_axis")),
         marginal_target=obj.get("marginal_target"),
         label=obj.get("label", ""),

@@ -90,10 +90,15 @@ def test_malformed_state_exit_2(tmp_path, capsys):
 
 
 def test_flat_design_exit_3(capsys):
-    code = run(["tomo", "--mode", "single_qubit_ancilla", "--state", "bloch:0,0,0.5",
-                "--omega", "0"])
-    assert code == 3
-    capsys.readouterr()
+    # A coupling-free ancilla design, and the two-qubit blind spot where the
+    # unpolarized design scale vanishes: all 15 records are equal, which a
+    # relative rank test alone passes.
+    for argv in (["--mode", "single_qubit_ancilla", "--state", "bloch:0,0,0.5",
+                  "--omega", "0"],
+                 ["--mode", "two_qubit_gates", "--state", "singlet",
+                  "--omega", "0.5", "--kd", "0.496404599656952"]):
+        assert run(["tomo", *argv]) == 3
+        assert capsys.readouterr().out == ""
 
 
 def test_sweep_singlet_all_one(tmp_path):

@@ -1,9 +1,9 @@
 """The memoized forward model against uncached full-space oracles.
 
-Each readout is read off its setting's affine rows (P_T, and the numerator
-of a conditional polarization) and each scattering operator comes from a
-cache; the oracles here rebuild the 8x8 cascade, the (flying, q1, q2) input
-state and the reflection operator from scratch for every evaluation.
+Each readout is read off its setting's affine P_T row and each scattering
+operator comes from a cache; the oracles here rebuild the 8x8 cascade, the
+(flying, q1, q2) input state and the reflection operator from scratch for
+every evaluation.
 """
 import numpy as np
 import pytest
@@ -20,7 +20,6 @@ from spintomo.qmat import (
     kron,
     maximally_mixed,
     partial_trace,
-    pauli,
     polarized_qubit,
     ptrace,
     random_density,
@@ -46,14 +45,8 @@ def block_oracle(params):
 
 
 def ideal_value_oracle(setting, rho):
-    """Total transmission trace(t^dag t rho_in) on the full space, with
-    rho_in = rho_f (x) U pair U^dag, or for a detector setting the conditional
-    polarization trace((n.sigma (x) I) t rho_in t^dag) / P_T."""
-    return readout_oracle(setting, rho)[0]
-
-
-def readout_oracle(setting, rho):
-    """(value, P_T) of the setting, computed on the full 8x8 space."""
+    """Total transmission trace(t^dag t rho_in) on the full 8x8 space, with
+    rho_in = rho_f (x) U pair U^dag."""
     if setting.injector_axis is None:
         flying = maximally_mixed(2)
     else:
@@ -65,16 +58,7 @@ def readout_oracle(setting, rho):
             target = partial_trace(rho, setting.marginal_target)
         pair = DensityMatrix(kron(polarized_qubit(setting.ancilla_axis).mat, target.mat))
     full = DensityMatrix(kron(flying.mat, g.apply(setting.seq, pair).mat))
-    block = block_oracle(setting.params)
-    pt = transmission_probability(block, full)
-    if setting.detector_axis is None:
-        return pt, pt
-    out = block.t @ full.mat @ block.t.conj().T
-    op = kron(np.array(
-        setting.detector_axis[0] * pauli(1)
-        + setting.detector_axis[1] * pauli(2)
-        + setting.detector_axis[2] * pauli(3)), _I4)
-    return float(np.trace(op @ out).real / pt), pt
+    return transmission_probability(block_oracle(setting.params), full)
 
 
 def truth_for(setting, rng):
@@ -148,9 +132,7 @@ def test_run_cycle_matches_uncached_collisions(omega, phase):
 
 GATE_TOKENS = ("X@1", "Y@2", "Z@1", "H@2", "Rx90@1", "Ry90@2", "Rz90@1", "Rx90@2",
                "sqrtSWAP@12")
-BASE_KINDS = ("unpolarized", "polarized", "ancilla", "ancilla:first", "ancilla:second")
-# Each kind again with a conditional-polarization detector.
-SETTING_KINDS = BASE_KINDS + tuple(f"{kind}+detector" for kind in BASE_KINDS)
+SETTING_KINDS = ("unpolarized", "polarized", "ancilla", "ancilla:first", "ancilla:second")
 
 
 def _unit(rng):
@@ -165,15 +147,12 @@ def _unit(rng):
        kind=st.sampled_from(SETTING_KINDS))
 def test_affine_forward_model_matches_oracle(omega, kd, seed, tokens, kind):
     rng = np.random.default_rng(seed)
-    kind, _, detector = kind.partition("+")
     fields = {"params": ScatterParams(omega, kd), "seq": g.sequence(*tokens)}
     if kind == "polarized":
         fields.update(injector_axis=_unit(rng), injector_sign=int(rng.choice([-1, 1])))
     elif kind.startswith("ancilla"):
         fields["ancilla_axis"] = _unit(rng)
         fields["marginal_target"] = kind.partition(":")[2] or None
-    if detector:
-        fields["detector_axis"] = _unit(rng)
     setting = tomo.MeasurementSetting(**fields)
     rho = truth_for(setting, rng)
     assert abs(tomo.ideal_value(setting, rho) - ideal_value_oracle(setting, rho)) < ORACLE_ATOL
@@ -203,28 +182,3 @@ def test_unpolarized_transmission_is_collective_rotation_invariant(omega, kd, se
     uu = kron(u, u)
     rotated = DensityMatrix(uu @ rho.mat @ uu.conj().T)
     assert abs(tomo.ideal_value(setting, rotated) - tomo.ideal_value(setting, rho)) < 1e-14
-
-
-@pytest.mark.parametrize("fields", [
-    {},
-    {"injector_axis": "y", "injector_sign": -1},
-    {"ancilla_axis": [0.6, 0.0, 0.8], "marginal_target": "second"},
-], ids=["register", "polarized", "ancilla"])
-def test_detector_readout_matches_oracle_off_zero_phase(fields):
-    # A sqrtSWAP sequence at kd != 0: both the conditional polarization and
-    # the P_T that its shot noise draws from come off the setting's two rows.
-    setting = tomo.MeasurementSetting(
-        params=ScatterParams(0.9, 1.1), seq=g.sequence("Rx90@1", "sqrtSWAP@12", "H@2"),
-        detector_axis=np.array([1.0, -2.0, 2.0]) / 3.0, **fields)
-    rng = np.random.default_rng(113)
-    for _ in range(3):
-        rho = random_density(4, rng)
-        got = tomo._readout(setting, tomo._unknowns(setting, rho))
-        value, pt = readout_oracle(setting, rho)
-        assert_allclose(got, (value, pt), rtol=0, atol=ORACLE_ATOL)
-        assert tomo.ideal_value(setting, rho) == got[0]
-        # shots are transmitted with P_T, and each transmitted one reads +-1
-        rng_draw = np.random.default_rng(17)
-        n_t = rng_draw.binomial(5000, pt)
-        ups = rng_draw.binomial(n_t, 0.5 * (1.0 + value))
-        assert tomo.measure(setting, rho, 5000, 17).observed_value == (2 * ups - n_t) / n_t

@@ -104,7 +104,6 @@ def test_standard_plan_catalogue(mode):
     assert [s.label for s in plan.settings] == CATALOGUE[mode]
     for s in plan.settings:
         kind, _, rest = s.label.partition(":")
-        assert s.detector_axis is None
         if kind == "u":
             assert g.format_sequence(s.seq) == rest
             assert s.injector_axis is None and s.ancilla_axis is None
@@ -153,19 +152,15 @@ def test_run_plan_equals_measure_loop(mode):
 
 
 def test_run_plan_equals_measure_loop_on_mixed_plan():
-    """Register, both marginal targets and conditional-polarization readouts
-    in one plan, in interleaved order."""
+    """Register, polarized and both marginal targets' readouts in one plan,
+    in interleaved order."""
     params = ScatterParams(0.6, 0.5)
     settings = (
-        tomo.MeasurementSetting(params=params, detector_axis="z", injector_axis="x",
-                                label="det:z"),
         tomo.MeasurementSetting(params=params, ancilla_axis="x", marginal_target="second",
                                 label="anc:x:second"),
         tomo.MeasurementSetting(params=params, seq=g.sequence("H@2"), label="u:H@2"),
         tomo.MeasurementSetting(params=params, ancilla_axis="y", marginal_target="first",
                                 label="anc:y:first"),
-        tomo.MeasurementSetting(params=params, seq=g.sequence("sqrtSWAP@12"),
-                                detector_axis="x", label="det:x"),
         tomo.MeasurementSetting(params=params, injector_axis="y", injector_sign=-1,
                                 label="pol:-y"),
         tomo.MeasurementSetting(params=params, ancilla_axis="z", marginal_target="second",
@@ -298,13 +293,9 @@ def test_reconstruct_two_qubit_equals_uncached_svd_path(mode, omega, kd):
 
 def test_refused_designs_raise_on_every_call():
     marginal = tomo.plan_standard("first_qubit_marginal", ScatterParams(0.9, 0.2))
-    detector = tomo.MeasurementSetting(params=ScatterParams(0.9, 0.2), injector_axis="x",
-                                       detector_axis="z")
     for _ in range(2):
         with pytest.raises(ValueError, match="mix different unknowns"):
             tomo.build_design_matrix(marginal)
-        with pytest.raises(ValueError, match="not affine"):
-            tomo.build_design_matrix([detector])
 
 
 def test_design_cache_stays_bounded():

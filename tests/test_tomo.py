@@ -79,23 +79,6 @@ def test_measure_concentration():
     assert hits >= 198
 
 
-def test_measure_polarization_detector():
-    from spintomo.scatter import transmitted_polarization
-    rho = ket_density(np.array([1, 0, 0, 0], dtype=complex))
-    setting = tomo.MeasurementSetting(params=ScatterParams(0.5),
-                                      detector_axis="z")
-    rec = tomo.measure(setting, rho, 0)
-    assert abs(rec.observed_value - transmitted_polarization(ScatterParams(0.5), rho)[2]) < 1e-12
-    noisy = tomo.measure(setting, rho, 10**5, 1)
-    assert abs(noisy.observed_value - rec.ideal_value) < 5 * noisy.standard_error
-
-
-def test_detector_settings_are_not_design_rows():
-    setting = tomo.MeasurementSetting(params=PARAMS, detector_axis="z")
-    with pytest.raises(ValueError):
-        tomo.setting_row(setting)
-
-
 def test_ideal_value_affine_in_state():
     rng = np.random.default_rng(35)
     plan = tomo.plan_standard("two_qubit_gates", PARAMS)
@@ -509,6 +492,18 @@ def test_serialization_roundtrips():
     back = tomo.record_from_json(tomo.record_to_json(rec))
     assert back.observed_value == rec.observed_value
     assert back.standard_error == rec.standard_error
+
+
+def test_setting_json_refuses_a_detector_axis():
+    # Settings record total transmission only: the format keeps the field
+    # as null, and a reader refuses any other value rather than drop it.
+    for mode in tomo.MODES:
+        obj = tomo.plan_to_json(tomo.plan_standard(mode, ScatterParams(0.7, 0.2)))
+        assert all(s["detector_axis"] is None for s in obj["settings"])
+    s = obj["settings"][0]
+    assert tomo.setting_from_json(s).label == s["label"]
+    with pytest.raises(ValueError, match="detector_axis"):
+        tomo.setting_from_json(dict(s, detector_axis=[0.0, 0.0, 1.0]))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 6, 7])
