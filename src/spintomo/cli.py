@@ -241,29 +241,23 @@ def _tomo_report(args) -> dict:
         "records": [tomo.record_to_json(r) for r in records],
         "truth": density_to_json(truth),
     }
-    if args.mode in ("two_qubit_gates", "two_qubit_polarized"):
-        est, coeffs, diag = tomo.reconstruct_two_qubit(records, plan)
-        report["reconstructed"] = density_to_json(est)
-        report["coefficients"] = [[float(v) for v in row] for row in coeffs.a]
-        report["diagnostics"] = diag
-        report["fidelity"] = fidelity(truth, est)
-        report["trace_distance"] = trace_distance(truth, est)
-    elif args.mode == "single_qubit_ancilla":
-        est = tomo.reconstruct_single(records)
-        report["reconstructed"] = density_to_json(est)
-        report["fidelity"] = fidelity(truth, est)
-        report["trace_distance"] = trace_distance(truth, est)
-    elif args.mode == "first_qubit_marginal":
+    if args.mode == "first_qubit_marginal":
         m1, m2 = tomo.reconstruct_marginals(records)
         t1, t2 = partial_trace(truth, "first"), partial_trace(truth, "second")
         report["reconstructed_first"] = density_to_json(m1)
         report["reconstructed_second"] = density_to_json(m2)
         report["trace_distance_first"] = trace_distance(t1, m1)
         report["trace_distance_second"] = trace_distance(t2, m2)
+        return report
+    if args.mode in ("two_qubit_gates", "two_qubit_polarized"):
+        est, coeffs, diag = tomo.reconstruct_two_qubit(records, plan)
+        report["coefficients"] = [[float(v) for v in row] for row in coeffs.a]
+        report["diagnostics"] = diag
+    elif args.mode == "single_qubit_ancilla":
+        est = tomo.reconstruct_single(records)
     else:  # pure_state
         fit = tomo.reconstruct_pure(records)
         est = fit.params.density()
-        report["reconstructed"] = density_to_json(est)
         report["pure_params"] = {
             "a1": fit.params.a1, "a2": fit.params.a2,
             "a3": fit.params.a3, "a4": fit.params.a4,
@@ -272,8 +266,9 @@ def _tomo_report(args) -> dict:
         report["residual"] = fit.residual
         report["branch_gap"] = fit.branch_gap
         report["unconstrained"] = list(fit.unconstrained)
-        report["fidelity"] = fidelity(truth, est)
-        report["trace_distance"] = trace_distance(truth, est)
+    report["reconstructed"] = density_to_json(est)
+    report["fidelity"] = fidelity(truth, est)
+    report["trace_distance"] = trace_distance(truth, est)
     return report
 
 

@@ -41,7 +41,6 @@ from .qmat import (
     maximally_mixed,
     pauli,
     polarized_qubit,
-    ptrace,
     unit_axis,
     von_neumann_entropy,
 )
@@ -129,7 +128,8 @@ def interact_once(rho_s: DensityMatrix, reservoir: Reservoir,
     tr_err = abs(out.trace() - 1.0)
     if tr_err > TRACE_PRESERVATION_TOL:
         raise RuntimeError(f"collision broke trace preservation by {tr_err:.3e}")
-    return DensityMatrix(ptrace(out, [2, 2], [1]))
+    # Trace out the reservoir spin, the leading factor.
+    return DensityMatrix(np.einsum("fsft->st", out.reshape(2, 2, 2, 2)))
 
 
 def bloch_map(reservoir: Reservoir, config: EngineConfig) -> tuple:

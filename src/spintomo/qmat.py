@@ -2,8 +2,7 @@
 
 Conventions used everywhere in this package: tensor factors are ordered left
 to right, the two-qubit basis is |00>, |01>, |10>, |11>, and |0> means spin
-up along +z.  Entropies are returned in nats unless a function name says
-bits.
+up along +z.  Entropies are returned in nats.
 """
 from __future__ import annotations
 
@@ -209,13 +208,6 @@ class PauliCoeffs:
         """The 15 nontrivial coefficients in PAULI_PAIRS order."""
         return self.a.ravel()[1:].copy()
 
-    @classmethod
-    def from_vector(cls, v) -> "PauliCoeffs":
-        v = np.asarray(v, dtype=float)
-        if v.shape != (15,):
-            raise ValueError(f"expected 15 coefficients, got shape {v.shape}")
-        return cls(np.concatenate(([1.0], v)).reshape(4, 4))
-
 
 def decompose(rho: DensityMatrix) -> PauliCoeffs:
     """Expand a two-qubit state in the Pauli product basis.
@@ -244,34 +236,6 @@ def assemble_array(coeffs) -> np.ndarray:
     return np.tensordot(np.ravel(a), PAULI_BASIS, axes=1) / 4.0
 
 
-def assemble(coeffs: PauliCoeffs) -> DensityMatrix:
-    """Inverse of decompose.  Raises InvalidStateError if the coefficients
-    do not describe a physical state (e.g. the result is not PSD)."""
-    return DensityMatrix(assemble_array(coeffs))
-
-
-def ptrace(mat: np.ndarray, dims: Iterable[int], keep: Iterable[int]) -> np.ndarray:
-    """Partial trace of a matrix over a tensor product of subsystems.
-
-    Parameters
-    ----------
-    mat : square array of size prod(dims)
-    dims : subsystem dimensions, leading factor first
-    keep : indices of subsystems to keep, in increasing order
-    """
-    dims = list(dims)
-    keep = sorted(keep)
-    n = len(dims)
-    mat = np.asarray(mat, dtype=complex).reshape(dims + dims)
-    # Trace out the dropped subsystems from the back so axis numbers stay valid.
-    dropped = [i for i in range(n) if i not in keep]
-    for idx, sub in enumerate(sorted(dropped, reverse=True)):
-        remaining = n - idx
-        mat = np.trace(mat, axis1=sub, axis2=sub + remaining)
-    d = int(np.prod([dims[i] for i in keep]))
-    return mat.reshape(d, d)
-
-
 def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
     """Reduce a two-qubit state to one marginal.
 
@@ -280,13 +244,10 @@ def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
     """
     if rho.dim != 4:
         raise ValueError(f"partial_trace needs a two-qubit state, got dim {rho.dim}")
-    if keep == "first":
-        reduced = ptrace(rho.mat, [2, 2], [0])
-    elif keep == "second":
-        reduced = ptrace(rho.mat, [2, 2], [1])
-    else:
+    if keep not in ("first", "second"):
         raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
-    return DensityMatrix(reduced)
+    subscripts = "ijkj->ik" if keep == "first" else "jijk->ik"
+    return DensityMatrix(np.einsum(subscripts, rho.mat.reshape(2, 2, 2, 2)))
 
 
 class BlochVector(NamedTuple):
@@ -325,10 +286,6 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     evals = np.linalg.eigvalsh(rho.mat)
     evals = evals[evals > ENTROPY_EIGENVALUE_FLOOR]
     return float(-np.sum(evals * np.log(evals)))
-
-
-def entropy_bits(rho: DensityMatrix) -> float:
-    return von_neumann_entropy(rho) / np.log(2.0)
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -37,6 +37,7 @@ from .qmat import (
     DensityMatrix,
     PAULI_BASIS,
     PAULI_PAIRS,
+    PSD_TOL,
     assemble_array,
     bloch,
     decompose,
@@ -49,7 +50,6 @@ from .qmat import (
 from .scatter import ScatterParams, two_impurity_block
 
 FLAT_DESIGN_TOL = 1e-9
-PSD_REPAIR_TOL = -1e-10
 UNCONSTRAINED_AMPLITUDE = 1e-6
 # Distinct (mode, ScatterParams) whose standard plans are kept; a run uses a
 # handful, and each plan holds its settings' built rows.
@@ -319,16 +319,9 @@ def reconstruct_single(records) -> DensityMatrix:
     noise may push the estimate outside the Bloch ball, in which case the
     vector is radially clipped to unit norm.
     """
-    settings = tuple(r.setting for r in records)
-    if any(s.ancilla_axis is None for s in settings):
+    if any(r.setting.ancilla_axis is None for r in records):
         raise ValueError("reconstruct_single expects ancilla-based records")
-    a, b, svals = _design(settings)
-    if svals.min() < FLAT_DESIGN_TOL:
-        raise FlatDesignError(
-            f"design is flat: smallest singular value {svals.min():.3e}; "
-            "the coupling gives no sensitivity to the state")
-    y = np.array([r.observed_value for r in records]) - b
-    v, _, _, _ = _solve_weighted(a, y, _weights(records))
+    v, _, _, _ = _guarded_solve(records)
     nrm = np.linalg.norm(v)
     if nrm > 1.0:
         v = v / nrm
@@ -351,6 +344,26 @@ def _rank(svals: np.ndarray, shape: tuple) -> int:
     return int(np.count_nonzero(svals > svals.max() * max(shape) * np.finfo(svals.dtype).eps))
 
 
+def _guarded_solve(records) -> tuple:
+    """Weighted least-squares estimate of the unknowns the records' settings
+    act on, as (estimate, design rank, condition number, weighted residual).
+
+    Raises FlatDesignError when the design carries no sensitivity at all and
+    RankDeficientPlanError when it cannot determine every unknown.
+    """
+    a, b, svals = _design(tuple(r.setting for r in records))
+    # A uniformly small design passes the relative rank test below.
+    if svals.max() < FLAT_DESIGN_TOL:
+        raise FlatDesignError(f"design is flat: largest singular value {svals.max():.3e}")
+    rank = _rank(svals, a.shape)
+    if rank < a.shape[1]:
+        raise RankDeficientPlanError(
+            f"design matrix rank {rank} < {a.shape[1]}; the plan cannot determine the state")
+    y = np.array([r.observed_value for r in records]) - b
+    x, _, _, resid = _solve_weighted(a, y, _weights(records))
+    return x, rank, float(svals.max() / svals.min()), resid
+
+
 def _psd_repair(mat: np.ndarray) -> tuple:
     """Clip negative eigenvalues and renormalize the trace.
 
@@ -358,7 +371,7 @@ def _psd_repair(mat: np.ndarray) -> tuple:
     the input).  Idempotent on already-physical input.
     """
     evals, vecs = np.linalg.eigh(mat)
-    if evals.min() >= PSD_REPAIR_TOL:
+    if evals.min() >= PSD_TOL:
         return mat, 0.0, float(evals.min())
     clipped = np.clip(evals, 0.0, None)
     clipped = clipped / clipped.sum()
@@ -374,20 +387,11 @@ def reconstruct_two_qubit(records, plan: TomographyPlan) -> tuple:
     design rank and condition number, the weighted residual norm, and what
     the positivity repair had to do (if anything).
     """
-    settings = tuple(r.setting for r in records)
-    if len(settings) != len(plan.settings):
+    if len(records) != len(plan.settings):
         raise ValueError("records do not match the plan")
-    a, b, svals = _design(settings)
-    # A uniformly small design passes the relative rank test below.
-    if svals.max() < FLAT_DESIGN_TOL:
-        raise FlatDesignError(f"design is flat: largest singular value {svals.max():.3e}")
-    rank = _rank(svals, a.shape)
-    if rank < 15:
-        raise RankDeficientPlanError(
-            f"design matrix rank {rank} < 15; the plan cannot determine the state")
-    cond = float(svals.max() / svals.min())
-    y = np.array([r.observed_value for r in records]) - b
-    x, _, _, resid = _solve_weighted(a, y, _weights(records))
+    if any(r.setting.ancilla_axis is not None for r in records):
+        raise ValueError("reconstruct_two_qubit expects register records")
+    x, rank, cond, resid = _guarded_solve(records)
     raw = assemble_array(x)
     repaired, proj_dist, min_eig = _psd_repair(raw)
     rho = DensityMatrix(repaired)
@@ -772,30 +776,12 @@ def setting_to_json(s: MeasurementSetting) -> dict:
         "seq": g.format_sequence(s.seq),
         "injector_axis": None if s.injector_axis is None else [float(v) for v in s.injector_axis],
         "injector_sign": s.injector_sign,
+        # Kept as null: a setting records total transmission only.
         "detector_axis": None,
         "ancilla_axis": None if s.ancilla_axis is None else [float(v) for v in s.ancilla_axis],
         "marginal_target": s.marginal_target,
         "label": s.label,
     }
-
-
-def setting_from_json(obj: dict) -> MeasurementSetting:
-    # The format keeps the field, but a setting records total transmission
-    # only, so a detector axis is refused rather than dropped.
-    if obj.get("detector_axis") is not None:
-        raise ValueError("detector_axis readouts are not supported")
-
-    def _axis(v):
-        return None if v is None else np.array(v, dtype=float)
-    return MeasurementSetting(
-        params=ScatterParams(omega=float(obj["omega"]), kd_phase=float(obj["kd_phase"])),
-        seq=g.parse_sequence(obj["seq"]),
-        injector_axis=_axis(obj.get("injector_axis")),
-        injector_sign=int(obj.get("injector_sign", 1)),
-        ancilla_axis=_axis(obj.get("ancilla_axis")),
-        marginal_target=obj.get("marginal_target"),
-        label=obj.get("label", ""),
-    )
 
 
 def record_to_json(r: MeasurementRecord) -> dict:
@@ -808,20 +794,5 @@ def record_to_json(r: MeasurementRecord) -> dict:
     }
 
 
-def record_from_json(obj: dict) -> MeasurementRecord:
-    return MeasurementRecord(
-        setting=setting_from_json(obj["setting"]),
-        ideal_value=float(obj["ideal_value"]),
-        shots=int(obj["shots"]),
-        observed_value=float(obj["observed_value"]),
-        standard_error=float(obj["standard_error"]),
-    )
-
-
 def plan_to_json(plan: TomographyPlan) -> dict:
     return {"mode": plan.mode, "settings": [setting_to_json(s) for s in plan.settings]}
-
-
-def plan_from_json(obj: dict) -> TomographyPlan:
-    return TomographyPlan(mode=obj["mode"],
-                          settings=tuple(setting_from_json(s) for s in obj["settings"]))

@@ -10,8 +10,6 @@ from spintomo.qmat import (
     DensityMatrix,
     PAULI_PAIRS,
     SIGMA_DOT_SIGMA,
-    bloch,
-    decompose,
     fidelity,
     ket_density,
     kron,
@@ -23,7 +21,6 @@ from spintomo.qmat import (
     random_unitary,
     singlet,
     trace_distance,
-    von_neumann_entropy,
 )
 from spintomo.scatter import (
     FrozenSpin,
@@ -33,7 +30,6 @@ from spintomo.scatter import (
     frozen_block,
     frozen_pair_pt,
     frozen_t,
-    full_input_state,
     pt_unpolarized_closed_form,
     qubit_block,
     qubit_t_single,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spintomo import cli
-from spintomo.qmat import maximally_mixed, save_density, singlet, trace_distance
+from spintomo.qmat import save_density, singlet, trace_distance
 
 
 def run(argv):

@@ -10,7 +10,6 @@ from spintomo.qmat import (
     polarized_qubit,
     random_density,
     trace_distance,
-    von_neumann_entropy,
 )
 from spintomo.scatter import ScatterParams
 

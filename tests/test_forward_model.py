@@ -21,7 +21,6 @@ from spintomo.qmat import (
     maximally_mixed,
     partial_trace,
     polarized_qubit,
-    ptrace,
     random_density,
     random_unitary,
 )
@@ -113,7 +112,7 @@ def interact_once_oracle(rho, reservoir, config):
     series = np.linalg.solve(_I4 - blk.r_prime @ m, blk.t)
     r = blk.r + blk.t_prime @ m @ series
     out = r @ kron(reservoir.state().mat, rho.mat) @ r.conj().T
-    return DensityMatrix(ptrace(out, [2, 2], [1]))
+    return DensityMatrix(np.einsum("fsft->st", out.reshape(2, 2, 2, 2)))
 
 
 @pytest.mark.parametrize("omega, phase", [(1.0, eng.DEFAULT_MIRROR_PHASE), (0.6, 1.1)])

@@ -13,12 +13,10 @@ from spintomo.qmat import (
     kron,
     maximally_mixed,
     n_dot_sigma,
-    pauli,
     polarized_qubit,
     random_density,
     random_unitary,
     singlet,
-    werner,
 )
 from spintomo.scatter import (
     FrozenSpin,

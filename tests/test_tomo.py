@@ -11,11 +11,13 @@ from numpy.testing import assert_allclose
 from spintomo import tomo
 from spintomo.qmat import (
     DensityMatrix,
+    InvalidStateError,
     PAULI_PAIRS,
+    PSD_TOL,
+    bloch_density,
     decompose,
     fidelity,
     ket_density,
-    kron,
     maximally_mixed,
     partial_trace,
     random_density,
@@ -213,6 +215,26 @@ def test_flat_design_at_zero_coupling():
         tomo.reconstruct_single(recs)
 
 
+def test_under_determined_one_qubit_records_rejected():
+    # Without a z probe a minimum-norm solve would report Bloch z = 0 for
+    # this truth; one x probe per target leaves y and z free as well.
+    plan = tomo.plan_standard("single_qubit_ancilla", PARAMS)
+    recs = tomo.run_plan(plan, bloch_density([0.1, 0.2, 0.9]), 0)
+    for short in (recs[:2], recs[:1]):
+        with pytest.raises(tomo.RankDeficientPlanError):
+            tomo.reconstruct_single(short)
+    plan = tomo.plan_standard("first_qubit_marginal", PARAMS)
+    recs = tomo.run_plan(plan, random_density(4, np.random.default_rng(3)), 0)
+    assert [r.setting.label for r in recs[:1] + recs[3:]] == [
+        "anc:x:first", "anc:x:second", "anc:y:second", "anc:z:second"]
+    with pytest.raises(tomo.RankDeficientPlanError):
+        tomo.reconstruct_marginals(recs[:1] + recs[3:])
+    # Each inversion takes its own kind of record only.
+    one = tomo.plan_standard("single_qubit_ancilla", PARAMS)
+    with pytest.raises(ValueError, match="register records"):
+        tomo.reconstruct_two_qubit(tomo.run_plan(one, maximally_mixed(2), 0), one)
+
+
 def test_marginal_roundtrip():
     rng = np.random.default_rng(43)
     plan = tomo.plan_standard("first_qubit_marginal", PARAMS)
@@ -264,6 +286,16 @@ def test_psd_repair_properties():
         again, dist2, _ = tomo._psd_repair(repaired)
         assert dist2 == 0.0
         assert_allclose(again, repaired, atol=0)
+    # The repair leaves alone exactly what DensityMatrix accepts.
+    for scale, moved in ((0.5, False), (2.0, True)):
+        low = scale * PSD_TOL
+        mat = np.diag([low, 0.25, 0.25, 0.5 - low]).astype(complex)
+        repaired, dist, _ = tomo._psd_repair(mat)
+        assert (dist > 0.0) == moved
+        DensityMatrix(repaired)
+        if moved:
+            with pytest.raises(InvalidStateError):
+                DensityMatrix(mat)
 
 
 def test_noisy_reconstruction_is_physical():
@@ -480,30 +512,18 @@ def test_pure_fit_loads_no_scipy():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
-def test_serialization_roundtrips():
-    plan = tomo.plan_standard("two_qubit_polarized", ScatterParams(0.7, 0.2))
-    again = tomo.plan_from_json(tomo.plan_to_json(plan))
-    assert again.mode == plan.mode
-    assert len(again.settings) == len(plan.settings)
-    rho = singlet()
-    for s_old, s_new in zip(plan.settings, again.settings):
-        assert abs(tomo.ideal_value(s_old, rho) - tomo.ideal_value(s_new, rho)) < 1e-14
-    rec = tomo.measure(plan.settings[0], rho, 100, 5)
-    back = tomo.record_from_json(tomo.record_to_json(rec))
-    assert back.observed_value == rec.observed_value
-    assert back.standard_error == rec.standard_error
-
-
 def test_setting_json_refuses_a_detector_axis():
     # Settings record total transmission only: the format keeps the field
-    # as null, and a reader refuses any other value rather than drop it.
+    # as null.
     for mode in tomo.MODES:
-        obj = tomo.plan_to_json(tomo.plan_standard(mode, ScatterParams(0.7, 0.2)))
+        plan = tomo.plan_standard(mode, ScatterParams(0.7, 0.2))
+        obj = tomo.plan_to_json(plan)
         assert all(s["detector_axis"] is None for s in obj["settings"])
-    s = obj["settings"][0]
-    assert tomo.setting_from_json(s).label == s["label"]
-    with pytest.raises(ValueError, match="detector_axis"):
-        tomo.setting_from_json(dict(s, detector_axis=[0.0, 0.0, 1.0]))
+    rec = tomo.measure(plan.settings[0], singlet(), 100, 5)
+    out = tomo.record_to_json(rec)
+    assert out["setting"] == obj["settings"][0]
+    assert out["observed_value"] == rec.observed_value
+    assert out["standard_error"] == rec.standard_error
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 6, 7])
