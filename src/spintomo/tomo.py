@@ -208,17 +208,20 @@ def measure(setting: MeasurementSetting, rho: DensityMatrix, shots: int,
     shots = 0 requests the noiseless value (observed = ideal, zero standard
     error).  Standard errors use an add-one smoothed binomial estimate so
     they stay positive for weighting even at empirical frequencies 0 or 1.
+    rng_seed is anything np.random.default_rng takes, a Generator included.
     """
     if shots < 0:
         raise ValueError("shots must be nonnegative")
-    return _sample(setting, _readout(setting, _unknowns(setting, rho)), shots, rng_seed)
+    # The seed is checked even when no record draws from it.
+    rng = np.random.default_rng(rng_seed)
+    return _sample(setting, _readout(setting, _unknowns(setting, rho)), shots, rng)
 
 
-def _sample(setting: MeasurementSetting, pt: float, shots: int, rng_seed) -> MeasurementRecord:
-    """measure's record for a setting whose transmission probability is pt."""
+def _sample(setting: MeasurementSetting, pt: float, shots: int, rng) -> MeasurementRecord:
+    """measure's record for a setting whose transmission probability is pt;
+    rng is the Generator of its draw, unused at shots = 0."""
     if shots == 0:
         return MeasurementRecord(setting, pt, 0, pt, 0.0)
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
     n_t = int(rng.binomial(shots, min(max(pt, 0.0), 1.0)))
     p_smooth = (n_t + 1.0) / (shots + 2.0)
     se = float(np.sqrt(p_smooth * (1.0 - p_smooth) / shots))
@@ -230,23 +233,112 @@ def run_plan(plan: TomographyPlan, rho: DensityMatrix, shots: int,
     """Measure every setting of a plan; per-setting seeds are derived from
     the master seed by plan order, so results are reproducible.
 
-    Each record equals measure(setting, rho, shots, default_rng(its seed));
-    the unknowns of each target (the register, or one marginal) are taken
-    from rho once and shared by that target's settings.
+    Setting k draws from the stream of SeedSequence(seed).spawn(n)[k], so
+    each record equals measure(setting, rho, shots, default_rng(that
+    child)).  The children are not built: one vectorized pass (see
+    _spawn_states) derives the PCG64 state words of all n from the root,
+    and each setting's Generator is seeded from its words.  numpy.random is
+    loaded on the first call, not when the module is imported.  The unknowns
+    of each target (the register, or one marginal) are taken from rho once
+    and shared by that target's settings.
     """
     if shots < 0:
         raise ValueError("shots must be nonnegative")
     # The seed is checked even when no record draws from it.
     root = np.random.SeedSequence(seed)
-    seeds = root.spawn(len(plan.settings)) if shots > 0 else [None] * len(plan.settings)
+    n = len(plan.settings)
+    rngs = _spawned_generators(root, n) if shots > 0 else [None] * n
     unknowns = {}
     records = []
-    for s, ss in zip(plan.settings, seeds):
+    for s, rng in zip(plan.settings, rngs):
         target = _target(s)
         if target not in unknowns:
             unknowns[target] = _unknowns(s, rho)
-        records.append(_sample(s, _readout(s, unknowns[target]), shots, ss))
+        records.append(_sample(s, _readout(s, unknowns[target]), shots, rng))
     return records
+
+
+# The constants of NumPy's SeedSequence: its pool hash (A), its output hash
+# (B) and its pool mix.  Arithmetic runs in uint64 and is masked to 32 bits.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init: int, mult: int, start: int, n: int) -> tuple:
+    """The n hash constants a SeedSequence hash uses from its start-th step
+    on, as (before, after) the multiplication each step makes."""
+    c = init * pow(mult, start, 1 << 32) & _MASK32
+    steps = [c]
+    for _ in range(n):
+        steps.append(steps[-1] * mult & _MASK32)
+    return np.array(steps[:-1], dtype=np.uint64), np.array(steps[1:], dtype=np.uint64)
+
+
+# generate_state(4, np.uint64) hashes 8 uint32 words.
+_STATE_XOR, _STATE_MUL = _hash_constants(_INIT_B, _MULT_B, 0, 8)
+
+
+def _n_words(entropy) -> int:
+    """How many uint32 words SeedSequence makes of its entropy: an int, a
+    digit string ("0x" for hex), or a (nested) sequence of these."""
+    if isinstance(entropy, str):
+        entropy = int(entropy, 16 if entropy.startswith("0x") else 10)
+    if isinstance(entropy, (int, np.integer)):
+        return max(1, (int(entropy).bit_length() + 31) // 32)
+    return sum(_n_words(v) for v in entropy)
+
+
+def _spawn_states(root, n: int) -> np.ndarray:
+    """generate_state(4, np.uint64) of each child root.spawn(n) would make,
+    shape (n, 4), without making the children or advancing the root.
+
+    A child's entropy is its parent's (zero-padded to the pool size) plus
+    its index, one word below 2**32, so its pool is the root's pool mixed
+    once more: each pool word is mixed with the index hashed on, with the
+    hash constant where the root's mixing left it.  Then the output hash
+    runs on every child's pool at once.
+    """
+    p = root.pool_size
+    first = root.n_children_spawned
+    steps = p * (p + max(0, _n_words(root.entropy) - p) + _n_words(root.spawn_key))
+    before, after = _hash_constants(_INIT_A, _MULT_A, steps, p)
+    h = (np.arange(first, first + n, dtype=np.uint64)[:, None] ^ before) * after & _MASK32
+    h ^= h >> 16
+    pool = (_MIX_MULT_L * root.pool.astype(np.uint64) - _MIX_MULT_R * h) & _MASK32
+    pool ^= pool >> 16
+    state = (pool[:, np.arange(8) % p] ^ _STATE_XOR) * _STATE_MUL & _MASK32
+    state ^= state >> 16
+    # PCG64 reads a child's words from memory, so each row is contiguous.
+    return np.ascontiguousarray(state[:, 0::2] | state[:, 1::2] << 32)
+
+
+class _ChildState:
+    """The seed source of one spawned child for PCG64: it hands over the
+    child's precomputed generate_state(4, np.uint64) words and refuses any
+    other request.  _spawned_generators registers it as a numpy.random
+    ISeedSequence."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a child state holds 4 uint64 words only")
+        return self.words
+
+
+def _spawned_generators(root, n: int) -> list:
+    """The Generators default_rng builds on the children of root.spawn(n),
+    in order, each seeded by NumPy's PCG64 from its derived words."""
+    # Registered here, not at import, so that importing the module does not
+    # load numpy.random.
+    np.random.bit_generator.ISeedSequence.register(_ChildState)
+    return [np.random.Generator(np.random.PCG64(_ChildState(words)))
+            for words in _spawn_states(root, n)]
 
 
 def _effective_observable(block_t: np.ndarray, rho_f: np.ndarray) -> np.ndarray:
@@ -656,11 +748,22 @@ def _pure_model(records) -> tuple:
     """(qt, b, y, w, chi0) of a pure fit: the real forms of the operators
     Q_k = sum_j a_kj sigma_j whose expectations are the records' affine
     parts (see _ket_model), and the seed angles of the starts."""
-    a, b = build_design_matrix([r.setting for r in records])
+    settings = tuple(r.setting for r in records)
+    a, b, _ = _design(settings)
     y = np.array([r.observed_value for r in records])
     w = _weights(records)
     x_lin, _, _, _ = _solve_weighted(a, y - b, w)
-    return _real_forms(a), b, y, w, _amplitude_seed(x_lin)
+    return _design_forms(settings), b, y, w, _amplitude_seed(x_lin)
+
+
+@lru_cache(maxsize=2 * PLAN_CACHE_SIZE)
+def _design_forms(settings: tuple) -> np.ndarray:
+    """_real_forms of a settings tuple's design matrix, read-only.  Like the
+    design, it depends on the settings alone, so it is built once per
+    tuple, in a cache as large as _design's."""
+    qt = _real_forms(_design(settings)[0])
+    qt.flags.writeable = False
+    return qt
 
 
 def _real_forms(a: np.ndarray) -> np.ndarray:

@@ -192,6 +192,15 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_cli_import_leaves_numpy_random_unloaded():
+    # run_plan loads numpy.random on its first call; importing must not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, spintomo.cli; sys.exit('numpy.random' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_tomo_shots_deterministic(tmp_path):
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["tomo", "--mode", "single_qubit_ancilla", "--state", "bloch:0.2,-0.3,0.4",

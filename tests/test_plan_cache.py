@@ -244,7 +244,7 @@ def test_repeat_design_is_a_cache_hit():
     assert again[0] is a and again[1] is b
 
 
-def test_json_round_trip_is_a_miss_with_an_equal_design():
+def test_fresh_build_is_a_design_miss_with_an_equal_design():
     plan = tomo.plan_standard("two_qubit_gates", ScatterParams(0.85, 0.35))
     a, b = tomo.build_design_matrix(plan)
     # An uncached build gives fresh settings that write the same JSON.
