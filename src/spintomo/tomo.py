@@ -269,11 +269,10 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 def _hash_constants(init: int, mult: int, start: int, n: int) -> tuple:
     """The n hash constants a SeedSequence hash uses from its start-th step
     on, as (before, after) the multiplication each step makes."""
-    c = init * pow(mult, start, 1 << 32) & _MASK32
-    steps = [c]
+    consts = [init * pow(mult, start, 1 << 32) & _MASK32]
     for _ in range(n):
-        steps.append(steps[-1] * mult & _MASK32)
-    return np.array(steps[:-1], dtype=np.uint64), np.array(steps[1:], dtype=np.uint64)
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts[:-1], dtype=np.uint64), np.array(consts[1:], dtype=np.uint64)
 
 
 # generate_state(4, np.uint64) hashes 8 uint32 words.
@@ -302,6 +301,9 @@ def _spawn_states(root, n: int) -> np.ndarray:
     """
     p = root.pool_size
     first = root.n_children_spawned
+    # The root's mixing took p hash steps for its first p entropy words (the
+    # padding included), p * (p - 1) for its all-pairs mix, and p for each
+    # later word: those beyond the pool size, and its spawn key's.
     steps = p * (p + max(0, _n_words(root.entropy) - p) + _n_words(root.spawn_key))
     before, after = _hash_constants(_INIT_A, _MULT_A, steps, p)
     h = (np.arange(first, first + n, dtype=np.uint64)[:, None] ^ before) * after & _MASK32
