@@ -23,10 +23,9 @@ from .qmat import (
     DensityMatrix,
     InvalidStateError,
     bloch_density,
-    density_to_json,
+    cmatrix_to_json,
     fidelity,
     ket_density,
-    kron,
     load_density,
     maximally_mixed,
     partial_trace,
@@ -239,13 +238,13 @@ def _tomo_report(args) -> dict:
         "seed": args.seed,
         "plan": tomo.plan_to_json(plan),
         "records": [tomo.record_to_json(r) for r in records],
-        "truth": density_to_json(truth),
+        "truth": cmatrix_to_json(truth.mat),
     }
     if args.mode == "first_qubit_marginal":
         m1, m2 = tomo.reconstruct_marginals(records)
         t1, t2 = partial_trace(truth, "first"), partial_trace(truth, "second")
-        report["reconstructed_first"] = density_to_json(m1)
-        report["reconstructed_second"] = density_to_json(m2)
+        report["reconstructed_first"] = cmatrix_to_json(m1.mat)
+        report["reconstructed_second"] = cmatrix_to_json(m2.mat)
         report["trace_distance_first"] = trace_distance(t1, m1)
         report["trace_distance_second"] = trace_distance(t2, m2)
         return report
@@ -266,7 +265,7 @@ def _tomo_report(args) -> dict:
         report["residual"] = fit.residual
         report["branch_gap"] = fit.branch_gap
         report["unconstrained"] = list(fit.unconstrained)
-    report["reconstructed"] = density_to_json(est)
+    report["reconstructed"] = cmatrix_to_json(est.mat)
     report["fidelity"] = fidelity(truth, est)
     report["trace_distance"] = trace_distance(truth, est)
     return report
@@ -277,8 +276,8 @@ def cmd_tomo(args) -> int:
         raise UsageError(f"--mode must be one of {', '.join(tomo.MODES)}")
     if args.state is None:
         raise UsageError("--state is required")
-    if args.shots < 0:
-        raise UsageError("--shots must be nonnegative")
+    if not 0 <= args.shots < 2**63:
+        raise UsageError("--shots must be nonnegative and below 2**63")
     if args.shots > 0 and args.seed is None:
         raise UsageError("--seed is required when shots > 0")
     report = _tomo_report(args)
@@ -375,10 +374,10 @@ def _suite_basis_invariance(rng) -> tuple:
         rho = random_density(4, rng)
         block = two_impurity_block(params)
         u = random_unitary(2, rng)
-        uu = kron(u, u)
+        uu = np.kron(u, u)
         rho_rot = DensityMatrix(uu @ rho.mat @ uu.conj().T)
         p1 = transmission_probability(block, full_input_state(flying, rho))
-        p2 = transmission_probability(block, DensityMatrix(kron(
+        p2 = transmission_probability(block, DensityMatrix(np.kron(
             (u @ flying.mat @ u.conj().T), rho_rot.mat)))
         worst = max(worst, abs(p1 - p2))
     return worst, 1e-10

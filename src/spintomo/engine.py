@@ -37,7 +37,6 @@ from .qmat import (
     DensityMatrix,
     bloch,
     bloch_density,
-    kron,
     maximally_mixed,
     pauli,
     polarized_qubit,
@@ -123,7 +122,7 @@ def interact_once(rho_s: DensityMatrix, reservoir: Reservoir,
     if rho_s.dim != 2:
         raise ValueError(f"static qubit state must have dim 2, got {rho_s.dim}")
     r = reflection_channel(config.params, config.mirror_phase)
-    joint = kron(reservoir.state().mat, rho_s.mat)
+    joint = np.kron(reservoir.state().mat, rho_s.mat)
     out = r @ joint @ r.conj().T
     tr_err = abs(out.trace() - 1.0)
     if tr_err > TRACE_PRESERVATION_TOL:

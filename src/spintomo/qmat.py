@@ -54,15 +54,6 @@ def pauli(i: int) -> np.ndarray:
     return _PAULIS[i]
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the left factor acting on the leading subsystem."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("kron expects 2d arrays")
-    return np.kron(a, b)
-
-
 def pauli_pair(i: int, j: int) -> np.ndarray:
     """Two-qubit basis matrix sigma_i (x) sigma_j."""
     return np.kron(pauli(i), pauli(j))
@@ -221,19 +212,13 @@ def decompose(rho: DensityMatrix) -> PauliCoeffs:
     return PauliCoeffs(a.reshape(4, 4))
 
 
-def assemble_array(coeffs) -> np.ndarray:
-    """Build the (possibly unphysical) matrix for a coefficient array or 15-vector."""
-    if isinstance(coeffs, PauliCoeffs):
-        a = coeffs.a
-    else:
-        arr = np.asarray(coeffs, dtype=float)
-        if arr.shape == (15,):
-            a = np.concatenate(([1.0], arr))
-        elif arr.shape == (4, 4):
-            a = arr
-        else:
-            raise ValueError(f"expected PauliCoeffs, 15-vector or 4x4 array, got shape {arr.shape}")
-    return np.tensordot(np.ravel(a), PAULI_BASIS, axes=1) / 4.0
+def assemble_array(vec) -> np.ndarray:
+    """Build the (possibly unphysical) matrix for the 15 nontrivial
+    coefficients in PAULI_PAIRS order."""
+    arr = np.asarray(vec, dtype=float)
+    if arr.shape != (15,):
+        raise ValueError(f"expected a 15-vector of coefficients, got shape {arr.shape}")
+    return np.tensordot(np.concatenate(([1.0], arr)), PAULI_BASIS, axes=1) / 4.0
 
 
 def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
@@ -271,8 +256,6 @@ def bloch(rho: DensityMatrix) -> BlochVector:
 
 def bloch_density(v) -> DensityMatrix:
     """One-qubit state with the given Bloch vector (norm must be <= 1)."""
-    if isinstance(v, BlochVector):
-        v = v.as_array()
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ValueError("Bloch vector must have 3 components")
@@ -354,20 +337,12 @@ def cmatrix_from_json(obj: dict) -> np.ndarray:
     return (re + 1j * im).reshape(dim, dim)
 
 
-def density_to_json(rho: DensityMatrix) -> dict:
-    return cmatrix_to_json(rho.mat)
-
-
-def density_from_json(obj: dict) -> DensityMatrix:
-    return DensityMatrix(cmatrix_from_json(obj))
-
-
 def save_density(rho: DensityMatrix, path) -> None:
     with open(path, "w") as fh:
-        json.dump(density_to_json(rho), fh, indent=2, sort_keys=True)
+        json.dump(cmatrix_to_json(rho.mat), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_density(path) -> DensityMatrix:
     with open(path) as fh:
-        return density_from_json(json.load(fh))
+        return DensityMatrix(cmatrix_from_json(json.load(fh)))

@@ -27,7 +27,6 @@ from .qmat import (
     SIGMA_DOT_SIGMA,
     DensityMatrix,
     decompose,
-    kron,
     n_dot_sigma,
     pauli,
     unit_axis,
@@ -182,21 +181,29 @@ def _phase_factors(params: ScatterParams) -> tuple:
     return _grid(ph), _grid(ph2)
 
 
-def _require_zero_phase(params: ScatterParams) -> None:
+def _zero_phase_omega_squared(params: ScatterParams):
+    """omega**2 for a closed form, which refuses a nonzero kd_phase and an
+    omega whose square overflows a float.
+
+    Each grid point is squared with the scalar **: numpy's array square
+    rounds about one value in a thousand differently, and a grid's closed
+    forms must equal its single points digit for digit.
+    """
     if np.count_nonzero(params.kd_phase):
         raise ValueError("closed form assumes kd_phase = 0")
+    try:
+        if not isinstance(params.omega, np.ndarray):
+            return params.omega ** 2
+        return np.array([w ** 2 for w in params.omega.tolist()]).reshape(params.omega.shape)
+    except OverflowError:
+        worst = float(np.max(np.abs(params.omega)))
+        raise ValueError(f"omega**2 overflows in the closed form, |omega| = {worst}") from None
 
 
-def _omega_squared(params: ScatterParams):
-    """omega**2, taken point by point on a grid with the scalar power.
-
-    numpy's array square and the C pow behind the scalar ** round about one
-    value in a thousand differently; evaluating each point as a scalar keeps
-    a grid's closed forms identical, digit for digit, to its single points.
-    """
-    if not isinstance(params.omega, np.ndarray):
-        return params.omega ** 2
-    return np.array([w ** 2 for w in params.omega.tolist()]).reshape(params.omega.shape)
+def _pointlike_block(t: np.ndarray) -> ScatterBlock:
+    """A pointlike scatterer's block (or stack) from its t: r = t - I, primed = unprimed."""
+    r = t - np.eye(t.shape[-1], dtype=complex)
+    return ScatterBlock(r=r, t=t, r_prime=r, t_prime=t)
 
 
 def frozen_t(params: ScatterParams, spin: FrozenSpin) -> np.ndarray:
@@ -211,9 +218,7 @@ def frozen_t(params: ScatterParams, spin: FrozenSpin) -> np.ndarray:
 
 def frozen_block(params: ScatterParams, spin: FrozenSpin) -> ScatterBlock:
     """Full block for one frozen spin: r = t - I and primed = unprimed."""
-    t = frozen_t(params, spin)
-    r = t - _I2
-    return ScatterBlock(r=r, t=t, r_prime=r, t_prime=t)
+    return _pointlike_block(frozen_t(params, spin))
 
 
 def frozen_pair_pt(params: ScatterParams, theta: float) -> float:
@@ -222,8 +227,7 @@ def frozen_pair_pt(params: ScatterParams, theta: float) -> float:
     Valid at zero propagation phase only, where the closed form is
     1 / (1 + 2*omega^2*(1 + cos(theta))).  theta may be an array.
     """
-    _require_zero_phase(params)
-    w2 = _omega_squared(params)
+    w2 = _zero_phase_omega_squared(params)
     return 1.0 / (1.0 + 2.0 * w2 * (1.0 + np.cos(theta)))
 
 
@@ -237,16 +241,12 @@ def qubit_t_single(params: ScatterParams) -> np.ndarray:
 
 def qubit_block(params: ScatterParams) -> ScatterBlock:
     """Full block for one qubit impurity: r = t - I and primed = unprimed."""
-    t = qubit_t_single(params)
-    r = t - _I4
-    return ScatterBlock(r=r, t=t, r_prime=r, t_prime=t)
+    return _pointlike_block(qubit_t_single(params))
 
 
 def transparent_block(dim: int) -> ScatterBlock:
     """A perfectly transmitting scatterer (r = 0, t = I)."""
-    z = np.zeros((dim, dim), dtype=complex)
-    i = np.eye(dim, dtype=complex)
-    return ScatterBlock(r=z, t=i, r_prime=z, t_prime=i)
+    return _pointlike_block(np.eye(dim, dtype=complex))
 
 
 def _embed4(mat4: np.ndarray, which: str) -> np.ndarray:
@@ -340,6 +340,8 @@ def two_impurity_block(params: ScatterParams) -> ScatterBlock:
 
 def _probability(amp: np.ndarray, rho: DensityMatrix, what: str):
     """trace(amp^dag amp rho): a float for one block, an array for a stack."""
+    if rho.dim != amp.shape[-1]:
+        raise ValueError(f"state dim {rho.dim} does not match block dim {amp.shape[-1]}")
     val = np.trace(_dagger(amp) @ amp @ rho.mat, axis1=-2, axis2=-1)
     worst = np.abs(val.imag).max()
     if worst > 1e-10:
@@ -352,15 +354,11 @@ def transmission_probability(block: ScatterBlock, rho: DensityMatrix):
 
     One float for a single block; one value per grid point for a stack.
     """
-    if rho.dim != block.dim:
-        raise ValueError(f"state dim {rho.dim} does not match block dim {block.dim}")
     return _probability(block.t, rho, "transmission")
 
 
 def reflection_probability(block: ScatterBlock, rho: DensityMatrix):
     """P_R = trace(r^dag r rho); equals 1 - P_T by unitarity."""
-    if rho.dim != block.dim:
-        raise ValueError(f"state dim {rho.dim} does not match block dim {block.dim}")
     return _probability(block.r, rho, "reflection")
 
 
@@ -382,8 +380,7 @@ def pt_unpolarized_closed_form(params: ScatterParams, rho: DensityMatrix) -> flo
     On grid params it returns one value per omega.
     """
     _check_two_qubit(rho)
-    _require_zero_phase(params)
-    w2 = _omega_squared(params)
+    w2 = _zero_phase_omega_squared(params)
     m = rho.mat
     combo = m[1, 1].real + m[2, 2].real - 2.0 * m[1, 2].real
     num = (1.0 + 12.0 * w2) + 4.0 * w2 * (1.0 + 8.0 * w2) * combo
@@ -407,7 +404,7 @@ def transmitted_polarization(params: ScatterParams, rho: DensityMatrix) -> np.nd
     pt = pt_unpolarized_closed_form(params, rho)
     if np.min(pt) <= 0.0:
         raise RuntimeError("transmission probability vanished; polarization undefined")
-    w2 = _omega_squared(params)
+    w2 = _zero_phase_omega_squared(params)
     pref = np.asarray(6.0 * w2 / ((1.0 + 16.0 * w2) * (1.0 + 4.0 * w2)))[..., None]
     return pref * sigma_sum_expectation(rho) / np.asarray(pt)[..., None]
 
@@ -426,20 +423,18 @@ def pt_polarized_input(params: ScatterParams, rho: DensityMatrix, axis,
     along sign*axis (the sign convention is fixed by that identity; an input
     fully aligned with |00> statics transmits with 1/(1 + 4 w2) > P_T_unpol).
     """
-    _check_two_qubit(rho)
-    _require_zero_phase(params)
+    base = pt_unpolarized_closed_form(params, rho)
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     n = unit_axis(axis)
-    w2 = _omega_squared(params)
+    w2 = _zero_phase_omega_squared(params)
     coeff = 2.0 * w2 / ((1.0 + 16.0 * w2) * (1.0 + 4.0 * w2))
-    base = pt_unpolarized_closed_form(params, rho)
     return base + sign * coeff * float(np.dot(sigma_sum_expectation(rho), n))
 
 
 def full_input_state(flying: DensityMatrix, statics: DensityMatrix) -> DensityMatrix:
     """Product state of a flying spin with the static register."""
-    return DensityMatrix(kron(flying.mat, statics.mat))
+    return DensityMatrix(np.kron(flying.mat, statics.mat))
 
 
 def flying_polarization_out(block: ScatterBlock, rho: DensityMatrix) -> np.ndarray:
@@ -456,6 +451,6 @@ def flying_polarization_out(block: ScatterBlock, rho: DensityMatrix) -> np.ndarr
     i_static = np.eye(d_static, dtype=complex)
     comps = []
     for k in (1, 2, 3):
-        op = kron(pauli(k), i_static)
+        op = np.kron(pauli(k), i_static)
         comps.append(np.trace(op @ out).real / pt)
     return np.array(comps)

@@ -210,8 +210,8 @@ def measure(setting: MeasurementSetting, rho: DensityMatrix, shots: int,
     they stay positive for weighting even at empirical frequencies 0 or 1.
     rng_seed is anything np.random.default_rng takes, a Generator included.
     """
-    if shots < 0:
-        raise ValueError("shots must be nonnegative")
+    if not 0 <= shots < 2**63:
+        raise ValueError("shots must be nonnegative and below 2**63")
     # The seed is checked even when no record draws from it.
     rng = np.random.default_rng(rng_seed)
     return _sample(setting, _readout(setting, _unknowns(setting, rho)), shots, rng)
@@ -242,8 +242,8 @@ def run_plan(plan: TomographyPlan, rho: DensityMatrix, shots: int,
     of each target (the register, or one marginal) are taken from rho once
     and shared by that target's settings.
     """
-    if shots < 0:
-        raise ValueError("shots must be nonnegative")
+    if not 0 <= shots < 2**63:
+        raise ValueError("shots must be nonnegative and below 2**63")
     # The seed is checked even when no record draws from it.
     root = np.random.SeedSequence(seed)
     n = len(plan.settings)

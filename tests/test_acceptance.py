@@ -12,7 +12,6 @@ from spintomo.qmat import (
     SIGMA_DOT_SIGMA,
     fidelity,
     ket_density,
-    kron,
     maximally_mixed,
     partial_trace,
     polarized_qubit,
@@ -41,7 +40,7 @@ TRIPLET00 = ket_density(np.array([1, 0, 0, 0], dtype=complex))
 
 
 def _unpolarized_full(rho4):
-    return DensityMatrix(kron(maximally_mixed(2).mat, rho4.mat))
+    return DensityMatrix(np.kron(maximally_mixed(2).mat, rho4.mat))
 
 
 def test_criterion_01_frozen_spin_unitarity():
@@ -90,7 +89,7 @@ def test_criterion_03_single_impurity():
     for _ in range(20):
         om = rng.uniform(0.05, 3.0)
         th = rng.uniform(0.0, np.pi)
-        full = DensityMatrix(kron(
+        full = DensityMatrix(np.kron(
             polarized_qubit("z").mat,
             polarized_qubit([np.sin(th), 0.0, np.cos(th)]).mat))
         pt = transmission_probability(qubit_block(ScatterParams(om)), full)
@@ -130,9 +129,9 @@ def test_criterion_05_symmetry_suite():
         rho = random_density(4, rng)
         flying = random_density(2, rng)
         u = random_unitary(2, rng)
-        uu = kron(u, u)
-        p1 = transmission_probability(block, DensityMatrix(kron(flying.mat, rho.mat)))
-        p2 = transmission_probability(block, DensityMatrix(kron(
+        uu = np.kron(u, u)
+        p1 = transmission_probability(block, DensityMatrix(np.kron(flying.mat, rho.mat)))
+        p2 = transmission_probability(block, DensityMatrix(np.kron(
             u @ flying.mat @ u.conj().T, uu @ rho.mat @ uu.conj().T)))
         worst = max(worst, abs(p1 - p2))
     assert worst < 1e-10
@@ -140,8 +139,8 @@ def test_criterion_05_symmetry_suite():
     # scatterers are indistinguishable up to time reversal)
     for _ in range(20):
         om = rng.uniform(0.05, 3.0)
-        full = DensityMatrix(kron(random_density(2, rng).mat,
-                                  random_density(4, rng).mat))
+        full = DensityMatrix(np.kron(random_density(2, rng).mat,
+                                     random_density(4, rng).mat))
         p_plus = transmission_probability(two_impurity_block(ScatterParams(om)), full)
         p_minus = transmission_probability(two_impurity_block(ScatterParams(-om)), full)
         assert abs(p_plus - p_minus) < 1e-10
@@ -150,7 +149,7 @@ def test_criterion_05_symmetry_suite():
     block1 = embed_block(qubit_block(ScatterParams(0.9)), "first")
     for _ in range(20):
         rho = random_density(4, rng)
-        u = kron(np.eye(2, dtype=complex), random_unitary(2, rng))
+        u = np.kron(np.eye(2, dtype=complex), random_unitary(2, rng))
         rho_rot = DensityMatrix(u @ rho.mat @ u.conj().T)
         p1 = transmission_probability(block1, _unpolarized_full(rho))
         p2 = transmission_probability(block1, _unpolarized_full(rho_rot))

@@ -82,6 +82,28 @@ def test_negative_shots_exit_1(capsys):
     assert "usage error: --shots" in capsys.readouterr().err
 
 
+def test_shots_beyond_int64_exit_1(capsys):
+    assert run(["tomo", "--mode", "two_qubit_gates", "--state", "singlet",
+                "--shots", str(2**63), "--seed", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "usage error: --shots" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--omega-range", "1e200:1e200:1", "--state", "singlet"],
+    ["--kd-range", "0:0.1:0.1", "--omega", "1e200", "--state", "singlet"],
+    ["--theta-range", "0:1:0.5", "--omega", "1e300"],
+])
+def test_sweep_overflowing_omega_exit_2(tmp_path, capsys, argv):
+    # omega**2 overflows a float in the kd = 0 closed forms
+    path = tmp_path / "sweep.csv"
+    assert run(["sweep", *argv, "--out", str(path)]) == 2
+    assert not path.exists()
+    assert run(["sweep", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "validation error: omega" in err
+
+
 def test_malformed_state_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")

@@ -17,7 +17,6 @@ from spintomo import tomo
 from spintomo.qmat import (
     DensityMatrix,
     bloch,
-    kron,
     maximally_mixed,
     partial_trace,
     polarized_qubit,
@@ -55,8 +54,8 @@ def ideal_value_oracle(setting, rho):
         target = rho
         if setting.marginal_target is not None:
             target = partial_trace(rho, setting.marginal_target)
-        pair = DensityMatrix(kron(polarized_qubit(setting.ancilla_axis).mat, target.mat))
-    full = DensityMatrix(kron(flying.mat, g.apply(setting.seq, pair).mat))
+        pair = DensityMatrix(np.kron(polarized_qubit(setting.ancilla_axis).mat, target.mat))
+    full = DensityMatrix(np.kron(flying.mat, g.apply(setting.seq, pair).mat))
     return transmission_probability(block_oracle(setting.params), full)
 
 
@@ -111,7 +110,7 @@ def interact_once_oracle(rho, reservoir, config):
     m = -np.exp(1j * config.mirror_phase) * _I4
     series = np.linalg.solve(_I4 - blk.r_prime @ m, blk.t)
     r = blk.r + blk.t_prime @ m @ series
-    out = r @ kron(reservoir.state().mat, rho.mat) @ r.conj().T
+    out = r @ np.kron(reservoir.state().mat, rho.mat) @ r.conj().T
     return DensityMatrix(np.einsum("fsft->st", out.reshape(2, 2, 2, 2)))
 
 
@@ -178,6 +177,6 @@ def test_unpolarized_transmission_is_collective_rotation_invariant(omega, kd, se
     setting = tomo.MeasurementSetting(params=ScatterParams(omega, kd))
     rho = random_density(4, rng)
     u = random_unitary(2, rng)
-    uu = kron(u, u)
+    uu = np.kron(u, u)
     rotated = DensityMatrix(uu @ rho.mat @ uu.conj().T)
     assert abs(tomo.ideal_value(setting, rotated) - tomo.ideal_value(setting, rho)) < 1e-14

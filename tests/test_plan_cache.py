@@ -193,6 +193,19 @@ def test_run_plan_checks_the_seed_without_shots():
             == record_fields(tomo.run_plan(plan, rho, 0)))
 
 
+def test_shots_beyond_int64_refused_before_any_generator():
+    # the binomial draw takes at most 2**63 - 1 trials; a larger count is
+    # refused at the shots check, before the bad seed -1 is looked at
+    plan = tomo.plan_standard("two_qubit_gates", ScatterParams(1.0))
+    rho = random_density(4, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="shots"):
+        tomo.run_plan(plan, rho, 2**63, -1)
+    with pytest.raises(ValueError, match="shots"):
+        tomo.measure(plan.settings[0], rho, 2**63, -1)
+    assert tomo.run_plan(plan, rho, 2**63 - 1, 1)[0].shots == 2**63 - 1
+    assert tomo.measure(plan.settings[0], rho, 2**63 - 1, 1).shots == 2**63 - 1
+
+
 def test_equal_params_serialize_alike():
     # the shared plan carries the params of the call that built it; those
     # must serialize as any equal params would

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from spintomo.qmat import (
     DensityMatrix,
     decompose,
     ket_density,
-    kron,
     maximally_mixed,
     n_dot_sigma,
     polarized_qubit,
@@ -47,7 +46,7 @@ from spintomo.scatter import (
 
 def _full(rho4, flying=None):
     f = maximally_mixed(2) if flying is None else flying
-    return DensityMatrix(kron(f.mat, rho4.mat))
+    return DensityMatrix(np.kron(f.mat, rho4.mat))
 
 
 def test_params_validation():
@@ -133,6 +132,17 @@ def test_single_impurity_block_identity():
     assert_allclose(b.t_prime, b.t, atol=1e-13)
 
 
+def test_pointlike_blocks_share_one_layout():
+    # r = t - I bit for bit, and primed = unprimed, at one point and on a grid
+    spins = FrozenSpin(np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8]]))
+    for omega, spin in ((0.8, FrozenSpin.from_angles(0.4, 1.1)), (np.array([0.3, 1.7]), spins)):
+        params = ScatterParams(omega)
+        for b in (frozen_block(params, spin), qubit_block(params), transparent_block(8)):
+            assert_array_equal(b.r, b.t - np.eye(b.dim))
+            assert_array_equal(b.r_prime, b.r)
+            assert_array_equal(b.t_prime, b.t)
+
+
 def test_zpolarized_single_impurity_pt():
     # flying |0>, static at polar angle theta
     rng = np.random.default_rng(8)
@@ -141,7 +151,7 @@ def test_zpolarized_single_impurity_pt():
         th = rng.uniform(0.0, np.pi)
         block = qubit_block(ScatterParams(om))
         static = polarized_qubit([np.sin(th), 0.0, np.cos(th)])
-        full = DensityMatrix(kron(polarized_qubit("z").mat, static.mat))
+        full = DensityMatrix(np.kron(polarized_qubit("z").mat, static.mat))
         pt = transmission_probability(block, full)
         expected = (7 * om**2 + 1 + 2 * om**2 * np.cos(th)) / ((om**2 + 1) * (9 * om**2 + 1))
         assert abs(pt - expected) < 1e-12
@@ -164,6 +174,22 @@ def test_two_impurity_closed_form():
         rho = random_density(4, rng)
         pt = transmission_probability(two_impurity_block(params), _full(rho))
         assert abs(pt - pt_unpolarized_closed_form(params, rho)) < 1e-12
+
+
+def test_closed_forms_refuse_an_omega_whose_square_overflows():
+    # omega**2 overflows a float past |omega| ~ 1.34e154; one such point
+    # refuses a whole grid
+    closed_forms = (
+        lambda p: pt_unpolarized_closed_form(p, singlet()),
+        lambda p: transmitted_polarization(p, singlet()),
+        lambda p: pt_polarized_input(p, singlet(), "z"),
+        lambda p: frozen_pair_pt(p, 0.3),
+    )
+    for closed_form in closed_forms:
+        for omega in (1e200, -1e200, [0.5, 1e200, 1.0]):
+            with pytest.raises(ValueError, match="omega"):
+                closed_form(ScatterParams(omega))
+        assert np.all(np.isfinite(closed_form(ScatterParams([0.5, 1.0]))))
 
 
 def test_closed_form_requires_zero_phase():
@@ -204,7 +230,7 @@ def test_transmission_plus_reflection_is_one():
     for _ in range(10):
         params = ScatterParams(rng.uniform(0.1, 2.0), rng.uniform(0, 2 * np.pi))
         block = two_impurity_block(params)
-        full = DensityMatrix(kron(random_density(2, rng).mat, random_density(4, rng).mat))
+        full = DensityMatrix(np.kron(random_density(2, rng).mat, random_density(4, rng).mat))
         total = transmission_probability(block, full) + reflection_probability(block, full)
         assert abs(total - 1.0) < 1e-12
 
@@ -235,9 +261,9 @@ def test_collective_rotation_invariance():
         rho = random_density(4, rng)
         flying = random_density(2, rng)
         u = random_unitary(2, rng)
-        uu = kron(u, u)
-        p1 = transmission_probability(block, DensityMatrix(kron(flying.mat, rho.mat)))
-        p2 = transmission_probability(block, DensityMatrix(kron(
+        uu = np.kron(u, u)
+        p1 = transmission_probability(block, DensityMatrix(np.kron(flying.mat, rho.mat)))
+        p2 = transmission_probability(block, DensityMatrix(np.kron(
             u @ flying.mat @ u.conj().T, uu @ rho.mat @ uu.conj().T)))
         assert abs(p1 - p2) < 1e-12
 
@@ -247,7 +273,7 @@ def test_omega_sign_symmetry_at_zero_phase():
     rng = np.random.default_rng(20)
     for _ in range(20):
         om = rng.uniform(0.05, 3.0)
-        full = DensityMatrix(kron(random_density(2, rng).mat, random_density(4, rng).mat))
+        full = DensityMatrix(np.kron(random_density(2, rng).mat, random_density(4, rng).mat))
         p_plus = transmission_probability(two_impurity_block(ScatterParams(om)), full)
         p_minus = transmission_probability(two_impurity_block(ScatterParams(-om)), full)
         assert abs(p_plus - p_minus) < 1e-12
@@ -261,7 +287,7 @@ def test_spectator_qubit_invariance():
     block = embed_block(qubit_block(params), "first")
     for _ in range(10):
         rho = random_density(4, rng)
-        u = kron(np.eye(2, dtype=complex), random_unitary(2, rng))
+        u = np.kron(np.eye(2, dtype=complex), random_unitary(2, rng))
         rho_rot = DensityMatrix(u @ rho.mat @ u.conj().T)
         p1 = transmission_probability(block, _full(rho))
         p2 = transmission_probability(block, _full(rho_rot))
