@@ -377,14 +377,19 @@ def pt_unpolarized_closed_form(params: ScatterParams, rho: DensityMatrix) -> flo
 
     where indices label the |00>,|01>,|10>,|11> basis (1-based).  The state
     enters only through rho_22 + rho_33 - 2 Re rho_23 = (1 - <s1.s2>)/2.
-    On grid params it returns one value per omega.
+    On grid params it returns one value per omega; |omega| > ~4.1e76 is refused.
     """
     _check_two_qubit(rho)
     w2 = _zero_phase_omega_squared(params)
+    with np.errstate(over="ignore"):
+        den = (1.0 + 16.0 * w2) * (1.0 + 4.0 * w2)
+    if not np.isfinite(den).all():
+        raise ValueError("omega too large for the closed form: its denominator overflows, "
+                         f"|omega| = {float(np.max(np.abs(params.omega)))}")
     m = rho.mat
     combo = m[1, 1].real + m[2, 2].real - 2.0 * m[1, 2].real
     num = (1.0 + 12.0 * w2) + 4.0 * w2 * (1.0 + 8.0 * w2) * combo
-    return num / ((1.0 + 16.0 * w2) * (1.0 + 4.0 * w2))
+    return num / den
 
 
 def sigma_sum_expectation(rho: DensityMatrix) -> np.ndarray:

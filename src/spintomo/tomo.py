@@ -588,12 +588,11 @@ class PureStateFit:
 
 
 _S2 = 1.0 / np.sqrt(2.0)
-_B15 = PAULI_BASIS[1:]
 # Termination tolerance and iteration cap of each start in _fit_kets.
 PURE_FIT_TOL = 1e-14
 PURE_FIT_MAX_ITERS = 200
-# x @ _TIMES_I is i psi for a ket psi written as x = (Re psi, Im psi).
-_TIMES_I = np.block([[np.zeros((4, 4)), np.eye(4)], [-np.eye(4), np.zeros((4, 4))]])
+# (x @ _GAUGE).reshape(S, 8, 2) holds psi and i psi as columns, x = (Re psi, Im psi).
+_GAUGE = np.stack([np.eye(8), np.eye(8, k=4) - np.eye(8, k=-4)], axis=2).reshape(8, 16)
 
 
 def _pure_ket(amps: np.ndarray, phases) -> np.ndarray:
@@ -612,19 +611,25 @@ def _amps_from_angles(chi: np.ndarray) -> np.ndarray:
 
 
 def _ket_model(x: np.ndarray, qt: np.ndarray, b, y, w) -> tuple:
-    """Weighted misfit w (<psi|Q_k|psi>/<psi|psi> + b - y) of a stack of
-    kets, and its Jacobian over x, shape (S, K, 8).
+    """Weighted misfit r = w (<psi|Q_k|psi>/<psi|psi> + b - y) of a stack of
+    kets, shape (S, K), its Jacobian J over x, shape (S, K, 8), and the
+    system [J^T G^T; r^T 0], shape (S, 9, K + 2), of which both are views.
 
     Each ket is a row of x (S, 8) = (Re psi, Im psi), and qt (8, 8K) holds
     the real symmetric form of each Q_k, so <psi|Q_k|psi> = x . Qt_k x.  The
     misfit does not change with the norm or phase of psi, so the Jacobian
-    vanishes along psi and i psi.
+    vanishes along psi and i psi: the columns of G^T, with misfit 0.
     """
-    nrm2 = np.einsum("si,si->s", x, x)[:, None]
-    qx = (x @ qt).reshape(len(x), -1, 8)
-    f = np.einsum("ski,si->sk", qx, x) / nrm2
-    res = w * (f + b - y)
-    return res, (2.0 * w / nrm2)[:, :, None] * (qx - f[:, :, None] * x[:, None, :])
+    s, k = len(x), qt.shape[1] // 8
+    xr, xc = x[:, None], x[:, :, None]
+    qx = (x @ qt).reshape(s, 8, k)
+    nrm2 = xr @ xc
+    f = xr @ qx / nrm2
+    system = np.zeros((s, 9, k + 2))
+    system[:, 8:, :k] = w * (f + b - y)
+    system[:, :8, :k] = 2.0 * w / nrm2 * (qx - xc * f)
+    system[:, :8, k:] = (x @ _GAUGE).reshape(s, 8, 2)
+    return system[:, 8, :k], system[:, :8, :k].transpose(0, 2, 1), system
 
 
 def _fit_kets(kets: np.ndarray, qt: np.ndarray, b, y, w) -> tuple:
@@ -640,56 +645,45 @@ def _fit_kets(kets: np.ndarray, qt: np.ndarray, b, y, w) -> tuple:
     start leaves the batch when its gradient, relative cost change or step
     falls below PURE_FIT_TOL.  No start sees another's numbers, so a start
     reaches the same fit in any batch; the batch runs as long as its slowest
-    start.  Each iteration forms the stacked normal matrices J^T J with one
-    matmul and updates only the starts whose step it accepted.
+    start.  One stacked matmul of _ket_model's system with itself gives
+    [J^T J + G^T G, J^T r; r^T J, r^T r]; an accepted step moves it and x.
     """
     x = np.concatenate([kets.real, kets.imag], axis=1)
     x /= np.linalg.norm(x, axis=1, keepdims=True)
-    out_x, out_cost = np.empty_like(x), np.empty(len(x))
-    idx = np.arange(len(x))
-    res, jac = _ket_model(x, qt, b, y, w)
-    cost = 0.5 * np.einsum("sk,sk->s", res, res)
-    mu = 1e-3 * np.einsum("ski,ski->si", jac, jac).max(axis=1)
-    nu = np.full(len(x), 2.0)
-    done = np.zeros(len(x), dtype=bool)
-    diag = np.arange(8)
+    out_x, out_ss, idx = np.empty_like(x), np.empty(len(x)), np.arange(len(x))
+    _, jac, system = _ket_model(x, qt, b, y, w)
+    normal = system @ system.transpose(0, 2, 1)
+    mu = 1e-3 * np.einsum("ski,ski->si", jac, jac).max(axis=1)[:, None, None]
+    nu, done = np.full(mu.shape, 2.0), np.zeros(mu.shape, dtype=bool)
     for _ in range(PURE_FIT_MAX_ITERS):
-        jac_t = jac.transpose(0, 2, 1)
-        grad = (jac_t @ res[:, :, None])[:, :, 0]
-        done |= np.abs(grad).max(axis=1) < PURE_FIT_TOL
+        done |= np.abs(normal[:, :8, 8:]).max(axis=1, keepdims=True) < PURE_FIT_TOL
         if done.any():
-            out_x[idx[done]], out_cost[idx[done]] = x[done], cost[done]
-            keep = ~done
-            idx, x, res, jac, jac_t, grad, cost, mu, nu = (
-                v[keep] for v in (idx, x, res, jac, jac_t, grad, cost, mu, nu))
+            stop = done[:, 0, 0]
+            out_x[idx[stop]], out_ss[idx[stop]] = x[stop], normal[stop, 8, 8]
+            idx, x, normal, mu, nu = (v[~stop] for v in (idx, x, normal, mu, nu))
             if not idx.size:
                 break
-        # psi and i psi span the null space of J^T J.  Adding their
-        # projector keeps the system regular as mu -> 0 and does not change
-        # the step, since the gradient has no part along them.
-        gauge = np.stack([x, x @ _TIMES_I], axis=1)
-        lhs = jac_t @ jac + gauge.transpose(0, 2, 1) @ gauge
-        lhs[:, diag, diag] += mu[:, None]
-        step = -np.linalg.solve(lhs, grad[:, :, None])[:, :, 0]
-        x_new = x + step
-        x_new /= np.linalg.norm(x_new, axis=1, keepdims=True)
-        res_new, jac_new = _ket_model(x_new, qt, b, y, w)
-        cost_new = 0.5 * np.einsum("sk,sk->s", res_new, res_new)
-        reduction = cost - cost_new
-        ratio = reduction / (0.5 * np.einsum("si,si->s", step, mu[:, None] * step - grad))
-        done = ((reduction < PURE_FIT_TOL * cost) & (ratio > 0.25)
-                | (np.linalg.norm(step, axis=1) < PURE_FIT_TOL * (PURE_FIT_TOL + 1.0)))
+        # G^T G keeps the system regular as mu -> 0 and leaves the step alone
+        # (the gradient has no part along psi or i psi); ::10 is the diagonal.
+        grad, lhs = normal[:, :8, 8:], normal[:, :8].copy()
+        lhs.reshape(-1, 1, 72)[..., ::10] += mu
+        step = np.linalg.solve(lhs[..., :8], lhs[..., 8:])
+        x_new = x - step[..., 0]
+        x_new /= np.sqrt((x_new * x_new).sum(axis=1, keepdims=True))
+        system = _ket_model(x_new, qt, b, y, w)[2]
+        normal_new = system @ system.transpose(0, 2, 1)
+        # r^T r is twice the cost: each test below is on the cost, doubled.
+        reduction = normal[:, 8:, 8:] - normal_new[:, 8:, 8:]
+        ratio = reduction / (step.transpose(0, 2, 1) @ (mu * step + grad))
+        done = ((reduction < PURE_FIT_TOL * normal[:, 8:, 8:]) & (ratio > 0.25)
+                | (np.sqrt(step.transpose(0, 2, 1) @ step) < PURE_FIT_TOL * (PURE_FIT_TOL + 1.0)))
         accept = reduction > 0.0
-        mu = np.where(accept, mu * np.maximum(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3),
-                      mu * nu)
+        mu = mu * np.where(accept, np.maximum(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), nu)
         nu = np.where(accept, 2.0, 2.0 * nu)
-        if accept.all():
-            x, res, jac, cost = x_new, res_new, jac_new, cost_new
-        elif accept.any():
-            x[accept], res[accept], jac[accept], cost[accept] = (
-                x_new[accept], res_new[accept], jac_new[accept], cost_new[accept])
-    out_x[idx], out_cost[idx] = x, cost
-    return out_x[:, :4] + 1j * out_x[:, 4:], np.sqrt(2.0 * out_cost)
+        np.copyto(x, x_new, where=accept[:, 0])
+        np.copyto(normal, normal_new, where=accept)
+    out_x[idx], out_ss[idx] = x, normal[:, 8, 8]
+    return out_x[:, :4] + 1j * out_x[:, 4:], np.sqrt(out_ss)
 
 
 def _amplitude_seed(x_lin: np.ndarray) -> np.ndarray:
@@ -771,10 +765,11 @@ def _design_forms(settings: tuple) -> np.ndarray:
 def _real_forms(a: np.ndarray) -> np.ndarray:
     """The qt (8, 8K) of _ket_model for the operators Q_k = sum_j a_kj
     sigma_j, sigma_j the 15 non-identity Pauli pairs: x . Qt_k x =
-    <psi|Q_k|psi> for x = (Re psi, Im psi)."""
-    q = np.einsum("kj,jab->kab", a, _B15)
+    <psi|Q_k|psi> for x = (Re psi, Im psi), and (x @ qt).reshape(S, 8, K)
+    holds the Qt_k x as columns."""
+    q = np.einsum("kj,jab->kab", a, PAULI_BASIS[1:])
     qt = np.block([[q.real, -q.imag], [q.imag, q.real]])
-    return qt.transpose(2, 0, 1).reshape(8, -1)
+    return qt.transpose(2, 1, 0).reshape(8, -1)
 
 
 def _ket_params(psi: np.ndarray) -> PureStateParams:

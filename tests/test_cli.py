@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -93,15 +94,22 @@ def test_shots_beyond_int64_exit_1(capsys):
     ["--omega-range", "1e200:1e200:1", "--state", "singlet"],
     ["--kd-range", "0:0.1:0.1", "--omega", "1e200", "--state", "singlet"],
     ["--theta-range", "0:1:0.5", "--omega", "1e300"],
+    ["--omega-range", "1e100:1e100:1", "--state", "singlet"],
+    ["--kd-range", "0:0.1:0.1", "--omega", "1e100", "--state", "singlet"],
 ])
 def test_sweep_overflowing_omega_exit_2(tmp_path, capsys, argv):
-    # omega**2 overflows a float in the kd = 0 closed forms
+    # omega**2, or past |omega| ~ 4.1e76 the unpolarized closed form's
+    # denominator, overflows a float in the kd = 0 closed forms; no numpy
+    # warning comes first
     path = tmp_path / "sweep.csv"
-    assert run(["sweep", *argv, "--out", str(path)]) == 2
-    assert not path.exists()
-    assert run(["sweep", *argv]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["sweep", *argv, "--out", str(path)]) == 2
+        assert not path.exists()
+        assert run(["sweep", *argv]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and "validation error: omega" in err
+    assert out == "" and "validation error: omega" in err and "Warning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_malformed_state_exit_2(tmp_path, capsys):

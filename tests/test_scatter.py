@@ -192,6 +192,28 @@ def test_closed_forms_refuse_an_omega_whose_square_overflows():
         assert np.all(np.isfinite(closed_form(ScatterParams([0.5, 1.0]))))
 
 
+def test_unpolarized_closed_forms_refuse_an_overflowing_denominator():
+    # Past |omega| ~ 4.1e76 omega**2 is finite but (1 + 16 w2)(1 + 4 w2)
+    # overflows; the three unpolarized closed forms refuse such a point, and
+    # one such point refuses a whole grid, without a numpy warning.
+    closed_forms = (
+        lambda p: pt_unpolarized_closed_form(p, singlet()),
+        lambda p: transmitted_polarization(p, singlet()),
+        lambda p: pt_polarized_input(p, singlet(), "z"),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for closed_form in closed_forms:
+            for omega in (5e76, -1e100, [0.5, 5e76], [1e100, 1.0]):
+                with pytest.raises(ValueError, match="omega"):
+                    closed_form(ScatterParams(omega))
+        rho = DensityMatrix(0.3 * singlet().mat + 0.7 * np.eye(4) / 4)
+        assert abs(pt_unpolarized_closed_form(ScatterParams(3e76), rho) - 0.475) < 1e-12
+        # The frozen pair's denominator stays finite: it is not refused.
+        for omega in (5e76, 1e100, [0.5, 1e100]):
+            assert np.all(np.isfinite(frozen_pair_pt(ScatterParams(omega), 0.3)))
+
+
 def test_closed_form_requires_zero_phase():
     with pytest.raises(ValueError):
         pt_unpolarized_closed_form(ScatterParams(1.0, 0.2), singlet())
