@@ -62,7 +62,7 @@ _UNPOLARIZED = maximally_mixed(2)
 # prefix: an unpolarized setting "u" is its gate sequence text; a polarized
 # injection "pol" is (sign, axis, text); an ancilla probe "anc" is
 # (axis, target).  A plan lists its settings in the table's order, which
-# fixes run_plan's per-setting seeds.
+# is the order of run_plan's draws.
 _SINGLE_QUBIT_GATES = ("identity", "X@2", "Y@2", "Ry90@2", "H@2", "Rz90@2", "Rz90@2,Y@2",
                        "Rx90@2", "Rx90@2,Z@2")
 _AXIS_INJECTIONS = tuple((sign, axis, "identity") for axis in "xyz" for sign in "+-")
@@ -190,15 +190,10 @@ def _unknowns(setting: MeasurementSetting, rho: DensityMatrix) -> np.ndarray:
     return np.array(bloch(target))
 
 
-def _readout(setting: MeasurementSetting, unknowns: np.ndarray) -> float:
-    """P_T of the setting on a target with these unknowns."""
-    row, offset = setting._row
-    return offset + float(row @ unknowns)
-
-
 def ideal_value(setting: MeasurementSetting, rho: DensityMatrix) -> float:
     """Noise-free P_T of the setting on the given true state."""
-    return _readout(setting, _unknowns(setting, rho))
+    row, offset = setting._row
+    return offset + float(row @ _unknowns(setting, rho))
 
 
 def measure(setting: MeasurementSetting, rho: DensityMatrix, shots: int,
@@ -210,137 +205,55 @@ def measure(setting: MeasurementSetting, rho: DensityMatrix, shots: int,
     they stay positive for weighting even at empirical frequencies 0 or 1.
     rng_seed is anything np.random.default_rng takes, a Generator included.
     """
-    if not 0 <= shots < 2**63:
-        raise ValueError("shots must be nonnegative and below 2**63")
-    # The seed is checked even when no record draws from it.
-    rng = np.random.default_rng(rng_seed)
-    return _sample(setting, _readout(setting, _unknowns(setting, rho)), shots, rng)
-
-
-def _sample(setting: MeasurementSetting, pt: float, shots: int, rng) -> MeasurementRecord:
-    """measure's record for a setting whose transmission probability is pt;
-    rng is the Generator of its draw, unused at shots = 0."""
-    if shots == 0:
-        return MeasurementRecord(setting, pt, 0, pt, 0.0)
-    n_t = int(rng.binomial(shots, min(max(pt, 0.0), 1.0)))
-    p_smooth = (n_t + 1.0) / (shots + 2.0)
-    se = float(np.sqrt(p_smooth * (1.0 - p_smooth) / shots))
-    return MeasurementRecord(setting, pt, shots, n_t / shots, se)
+    rng = _generator(shots, rng_seed)
+    return _sample((setting,), np.array([ideal_value(setting, rho)]), shots, rng)[0]
 
 
 def run_plan(plan: TomographyPlan, rho: DensityMatrix, shots: int,
              seed=None) -> list:
-    """Measure every setting of a plan; per-setting seeds are derived from
-    the master seed by plan order, so results are reproducible.
+    """Measure every setting of a plan, as measure does one.
 
-    Setting k draws from the stream of SeedSequence(seed).spawn(n)[k], so
-    each record equals measure(setting, rho, shots, default_rng(that
-    child)).  The children are not built: one vectorized pass (see
-    _spawn_states) derives the PCG64 state words of all n from the root,
-    and each setting's Generator is seeded from its words.  numpy.random is
-    loaded on the first call, not when the module is imported.  The unknowns
-    of each target (the register, or one marginal) are taken from rho once
-    and shared by that target's settings.
+    All records draw from one default_rng(seed), so seed is anything
+    default_rng takes, a Generator included, and a seed reproduces the
+    records: one vectorized binomial draw over the plan's transmission
+    probabilities, in plan order.  The unknowns of each target (the
+    register, or one marginal) are taken from rho once, and that target's
+    P_T are read off its cached design.  numpy.random is loaded on the
+    first call, not when the module is imported.
     """
+    rng = _generator(shots, seed)
+    by_target = {}
+    for k, s in enumerate(plan.settings):
+        by_target.setdefault(_target(s), []).append(k)
+    pt = np.empty(len(plan.settings))
+    for idx in by_target.values():
+        group = tuple(plan.settings[k] for k in idx)
+        a, b, _ = _design(group)
+        # vecdot sums each row as ideal_value's row @ unknowns does, so P_T
+        # equals ideal_value bit for bit; a @ unknowns would not.
+        pt[idx] = b + np.vecdot(a, _unknowns(group[0], rho))
+    return _sample(plan.settings, pt, shots, rng)
+
+
+def _generator(shots: int, seed):
+    """The Generator of a simulation's draws, after checking its shots."""
     if not 0 <= shots < 2**63:
         raise ValueError("shots must be nonnegative and below 2**63")
     # The seed is checked even when no record draws from it.
-    root = np.random.SeedSequence(seed)
-    n = len(plan.settings)
-    rngs = _spawned_generators(root, n) if shots > 0 else [None] * n
-    unknowns = {}
-    records = []
-    for s, rng in zip(plan.settings, rngs):
-        target = _target(s)
-        if target not in unknowns:
-            unknowns[target] = _unknowns(s, rho)
-        records.append(_sample(s, _readout(s, unknowns[target]), shots, rng))
-    return records
+    return np.random.default_rng(seed)
 
 
-# The constants of NumPy's SeedSequence: its pool hash (A), its output hash
-# (B) and its pool mix.  Arithmetic runs in uint64 and is masked to 32 bits.
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _hash_constants(init: int, mult: int, start: int, n: int) -> tuple:
-    """The n hash constants a SeedSequence hash uses from its start-th step
-    on, as (before, after) the multiplication each step makes."""
-    consts = [init * pow(mult, start, 1 << 32) & _MASK32]
-    for _ in range(n):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts[:-1], dtype=np.uint64), np.array(consts[1:], dtype=np.uint64)
-
-
-# generate_state(4, np.uint64) hashes 8 uint32 words.
-_STATE_XOR, _STATE_MUL = _hash_constants(_INIT_B, _MULT_B, 0, 8)
-
-
-def _n_words(entropy) -> int:
-    """How many uint32 words SeedSequence makes of its entropy: an int, a
-    digit string ("0x" for hex), or a (nested) sequence of these."""
-    if isinstance(entropy, str):
-        entropy = int(entropy, 16 if entropy.startswith("0x") else 10)
-    if isinstance(entropy, (int, np.integer)):
-        return max(1, (int(entropy).bit_length() + 31) // 32)
-    return sum(_n_words(v) for v in entropy)
-
-
-def _spawn_states(root, n: int) -> np.ndarray:
-    """generate_state(4, np.uint64) of each child root.spawn(n) would make,
-    shape (n, 4), without making the children or advancing the root.
-
-    A child's entropy is its parent's (zero-padded to the pool size) plus
-    its index, one word below 2**32, so its pool is the root's pool mixed
-    once more: each pool word is mixed with the index hashed on, with the
-    hash constant where the root's mixing left it.  Then the output hash
-    runs on every child's pool at once.
-    """
-    p = root.pool_size
-    first = root.n_children_spawned
-    # The root's mixing took p hash steps for its first p entropy words (the
-    # padding included), p * (p - 1) for its all-pairs mix, and p for each
-    # later word: those beyond the pool size, and its spawn key's.
-    steps = p * (p + max(0, _n_words(root.entropy) - p) + _n_words(root.spawn_key))
-    before, after = _hash_constants(_INIT_A, _MULT_A, steps, p)
-    h = (np.arange(first, first + n, dtype=np.uint64)[:, None] ^ before) * after & _MASK32
-    h ^= h >> 16
-    pool = (_MIX_MULT_L * root.pool.astype(np.uint64) - _MIX_MULT_R * h) & _MASK32
-    pool ^= pool >> 16
-    state = (pool[:, np.arange(8) % p] ^ _STATE_XOR) * _STATE_MUL & _MASK32
-    state ^= state >> 16
-    # PCG64 reads a child's words from memory, so each row is contiguous.
-    return np.ascontiguousarray(state[:, 0::2] | state[:, 1::2] << 32)
-
-
-class _ChildState:
-    """The seed source of one spawned child for PCG64: it hands over the
-    child's precomputed generate_state(4, np.uint64) words and refuses any
-    other request.  _spawned_generators registers it as a numpy.random
-    ISeedSequence."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("a child state holds 4 uint64 words only")
-        return self.words
-
-
-def _spawned_generators(root, n: int) -> list:
-    """The Generators default_rng builds on the children of root.spawn(n),
-    in order, each seeded by NumPy's PCG64 from its derived words."""
-    # Registered here, not at import, so that importing the module does not
-    # load numpy.random.
-    np.random.bit_generator.ISeedSequence.register(_ChildState)
-    return [np.random.Generator(np.random.PCG64(_ChildState(words)))
-            for words in _spawn_states(root, n)]
+def _sample(settings: tuple, pt: np.ndarray, shots: int, rng) -> list:
+    """The records of settings whose transmission probabilities are pt, from
+    one binomial draw of rng over all of them (none at shots = 0)."""
+    ideal = pt.tolist()
+    if shots == 0:
+        return [MeasurementRecord(s, p, 0, p, 0.0) for s, p in zip(settings, ideal)]
+    n_t = rng.binomial(shots, np.clip(pt, 0.0, 1.0))
+    p_smooth = (n_t + 1.0) / (shots + 2.0)
+    se = np.sqrt(p_smooth * (1.0 - p_smooth) / shots)
+    return [MeasurementRecord(s, p, shots, f, e)
+            for s, p, f, e in zip(settings, ideal, (n_t / shots).tolist(), se.tolist())]
 
 
 def _effective_observable(block_t: np.ndarray, rho_f: np.ndarray) -> np.ndarray:
@@ -785,6 +698,13 @@ def _ket_params(psi: np.ndarray) -> PureStateParams:
                            th1=phases[0], th2=phases[1], th4=phases[3])
 
 
+def _residual_text(res: float) -> str:
+    """A residual for a message: below 1e-12 its digits are rounding noise
+    that any reordering of the fit's arithmetic moves, so only the bound is
+    printed."""
+    return "< 1e-12" if res < 1e-12 else f"{res:.3e}"
+
+
 def reconstruct_pure(records) -> PureStateFit:
     """Fit a pure state to transmission records.
 
@@ -848,9 +768,9 @@ def reconstruct_pure(records) -> PureStateFit:
         if clash.size:
             k = clash[0]
             raise PureFitError(
-                f"fits with residuals {best_res:.3e} and {rival_res[k]:.3e} reach "
-                f"states of fidelity {overlap[k]:.6f}; the plan cannot "
-                "identify the state")
+                f"fits with residuals {_residual_text(best_res)} and "
+                f"{_residual_text(rival_res[k])} reach states of fidelity "
+                f"{overlap[k]:.6f}; the plan cannot identify the state")
 
     params = _ket_params(best)
     amps = (params.a1, params.a2, params.a3, params.a4)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -212,6 +213,21 @@ def test_tomo_pure_mode_unidentifiable_exit_2(capsys):
     state = f"pure:{s},0,0,{s},0,0,{np.pi / 2!r}"
     assert run(["tomo", "--mode", "pure_state", "--state", state]) == 2
     assert "cannot identify" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("state, omega, fidelity", [
+    ("werner:0.5", "1.0", "0.562500"),
+    (f"pure:{0.5**0.5!r},0,0,{0.5**0.5!r},0,0,{np.pi / 4!r}", "0.7", None),
+])
+def test_tomo_pure_refusal_prints_no_rounding_floor_digits(capsys, state, omega, fidelity):
+    # Residuals at the rounding floor change with any reordering of the
+    # fit's arithmetic; the refusal prints them as a bound, not as digits.
+    assert run(["tomo", "--mode", "pure_state", "--state", state, "--omega", omega]) == 2
+    err = capsys.readouterr().err
+    assert "cannot identify" in err and "residuals < 1e-12 and < 1e-12 " in err
+    assert all(int(e) <= 12 for e in re.findall(r"\de-(\d+)", err))
+    if fidelity:
+        assert f"fidelity {fidelity};" in err
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

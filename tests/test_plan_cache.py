@@ -2,9 +2,10 @@
 every record off the plan's cached rows, and each settings tuple's design is
 built once.
 
-The references here are an uncached plan build, a per-setting measure loop,
-and an uncached design stack with its own SVD; records, designs and
-estimates must equal them bit for bit.
+The references here are an uncached plan build, a measure loop over one
+shared generator, one binomial draw at the settings' ideal values, and an
+uncached design stack with its own SVD; records, designs and estimates must
+equal them bit for bit.
 """
 import dataclasses
 import json
@@ -32,10 +33,60 @@ def truth(mode, rng):
 
 
 def measure_loop(plan, rho, shots, seed):
-    """run_plan as one measure per setting, each with its spawned seed."""
-    seeds = np.random.SeedSequence(seed).spawn(len(plan.settings))
-    return [tomo.measure(s, rho, shots, np.random.default_rng(ss))
-            for s, ss in zip(plan.settings, seeds)]
+    """run_plan as one measure per setting, all drawing in plan order from
+    one shared default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    return [tomo.measure(s, rho, shots, rng) for s in plan.settings]
+
+
+def binomial_reference(plan, rho, shots, seed):
+    """run_plan's record fields as one binomial draw of default_rng(seed) at
+    the settings' ideal values, in plan order."""
+    pt = [tomo.ideal_value(s, rho) for s in plan.settings]
+    if shots == 0:
+        return [(s.label, p, 0, p, 0.0) for s, p in zip(plan.settings, pt)]
+    counts = np.random.default_rng(seed).binomial(shots, np.clip(pt, 0.0, 1.0))
+    fields = []
+    for s, p, n in zip(plan.settings, pt, counts.tolist()):
+        smooth = (n + 1.0) / (shots + 2.0)
+        fields.append((s.label, p, shots, n / shots,
+                       math.sqrt(smooth * (1.0 - smooth) / shots)))
+    return fields
+
+
+def mixed_plan(params):
+    """Register, polarized and both marginal targets' readouts in one plan,
+    in interleaved order."""
+    settings = (
+        tomo.MeasurementSetting(params=params, ancilla_axis="x", marginal_target="second",
+                                label="anc:x:second"),
+        tomo.MeasurementSetting(params=params, seq=g.sequence("H@2"), label="u:H@2"),
+        tomo.MeasurementSetting(params=params, ancilla_axis="y", marginal_target="first",
+                                label="anc:y:first"),
+        tomo.MeasurementSetting(params=params, injector_axis="y", injector_sign=-1,
+                                label="pol:-y"),
+        tomo.MeasurementSetting(params=params, ancilla_axis="z", marginal_target="second",
+                                label="anc:z:second"),
+    )
+    return tomo.TomographyPlan(mode="two_qubit_gates", settings=settings)
+
+
+def chi_square(counts, shots, p):
+    """Pearson's statistic and degrees of freedom of counts against
+    Binomial(shots, p), adjacent outcomes merged so each bin expects at
+    least 5."""
+    expected = len(counts) * np.array([math.comb(shots, k) * p**k * (1.0 - p)**(shots - k)
+                                       for k in range(shots + 1)])
+    observed = np.bincount(counts, minlength=shots + 1)
+    bins, exp_acc, obs_acc = [], 0.0, 0
+    for e, o in zip(expected, observed):
+        exp_acc, obs_acc = exp_acc + e, obs_acc + o
+        if exp_acc >= 5.0:
+            bins.append([exp_acc, obs_acc])
+            exp_acc, obs_acc = 0.0, 0
+    bins[-1][0] += exp_acc
+    bins[-1][1] += obs_acc
+    return sum((o - e) ** 2 / e for e, o in bins), len(bins) - 1
 
 
 @pytest.mark.parametrize("mode", tomo.MODES)
@@ -78,7 +129,7 @@ _UNIT_GATES = ["u:identity", "u:X@2", "u:Y@2", "u:Ry90@2", "u:H@2", "u:Rz90@2",
                "u:Rz90@2,Y@2", "u:Rx90@2", "u:Rx90@2,Z@2"]
 _AXIS_INJECTIONS = ["pol:+x:identity", "pol:-x:identity", "pol:+y:identity",
                     "pol:-y:identity", "pol:+z:identity", "pol:-z:identity"]
-# Each plan's order fixes run_plan's per-setting seeds, so it is pinned too.
+# Each plan's order is the order of run_plan's draws, so it is pinned too.
 CATALOGUE = {
     "two_qubit_gates": _UNIT_GATES + [
         "u:sqrtSWAP@12,Rx90@2", "u:Rz90@2,sqrtSWAP@12,Rx90@2", "u:sqrtSWAP@12,Ry90@2",
@@ -141,6 +192,19 @@ def test_cached_plan_records_equal_uncached_build(mode, kd):
 
 
 @pytest.mark.parametrize("mode", tomo.MODES)
+def test_run_plan_repeats_for_a_seed_and_changes_with_it(mode):
+    rng = np.random.default_rng(67)
+    plan = tomo.plan_standard(mode, ScatterParams(1.2, 0.25))
+    for shots in SHOTS[1:]:
+        rho = truth(mode, rng)
+        seed = int(rng.integers(2**31))
+        first = record_fields(tomo.run_plan(plan, rho, shots, seed))
+        assert first == record_fields(tomo.run_plan(plan, rho, shots, seed))
+        other = record_fields(tomo.run_plan(plan, rho, shots, seed + 1))
+        assert [f[3] for f in first] != [f[3] for f in other]
+
+
+@pytest.mark.parametrize("mode", tomo.MODES)
 def test_run_plan_equals_measure_loop(mode):
     rng = np.random.default_rng(67)
     plan = tomo.plan_standard(mode, ScatterParams(1.2, 0.25))
@@ -152,27 +216,88 @@ def test_run_plan_equals_measure_loop(mode):
 
 
 def test_run_plan_equals_measure_loop_on_mixed_plan():
-    """Register, polarized and both marginal targets' readouts in one plan,
-    in interleaved order."""
-    params = ScatterParams(0.6, 0.5)
-    settings = (
-        tomo.MeasurementSetting(params=params, ancilla_axis="x", marginal_target="second",
-                                label="anc:x:second"),
-        tomo.MeasurementSetting(params=params, seq=g.sequence("H@2"), label="u:H@2"),
-        tomo.MeasurementSetting(params=params, ancilla_axis="y", marginal_target="first",
-                                label="anc:y:first"),
-        tomo.MeasurementSetting(params=params, injector_axis="y", injector_sign=-1,
-                                label="pol:-y"),
-        tomo.MeasurementSetting(params=params, ancilla_axis="z", marginal_target="second",
-                                label="anc:z:second"),
-    )
-    plan = tomo.TomographyPlan(mode="two_qubit_gates", settings=settings)
+    plan = mixed_plan(ScatterParams(0.6, 0.5))
     rng = np.random.default_rng(71)
     for shots in (0, 40, 10_000):
         rho = random_density(4, rng)
         for seed in (None, 5) if shots == 0 else (5, 6):
             assert (record_fields(tomo.run_plan(plan, rho, shots, seed))
                     == record_fields(measure_loop(plan, rho, shots, seed)))
+
+
+@pytest.mark.parametrize("mode", [*tomo.MODES, "mixed"])
+def test_run_plan_equals_one_binomial_draw(mode):
+    rng = np.random.default_rng(69)
+    params = ScatterParams(0.6, 0.5)
+    plan = mixed_plan(params) if mode == "mixed" else tomo.plan_standard(mode, params)
+    for shots in (0, 40, *SHOTS[1:]):
+        rho = truth(mode, rng)
+        for seed in (None, 5) if shots == 0 else (5, int(rng.integers(2**31))):
+            records = tomo.run_plan(plan, rho, shots, seed)
+            assert record_fields(records) == binomial_reference(plan, rho, shots, seed)
+            # every field is a Python number, as measure's were
+            assert all(type(v) is float for r in records
+                       for v in (r.ideal_value, r.observed_value, r.standard_error))
+            assert all(type(r.shots) is int for r in records)
+
+
+@pytest.mark.parametrize("kd", [0.0, 0.4])
+@pytest.mark.parametrize("mode", [*tomo.MODES, "mixed"])
+def test_noiseless_records_equal_ideal_value_bit_for_bit(mode, kd):
+    # run_plan reads all of a target's P_T at once; each must be the float
+    # ideal_value gives, so that noiseless outputs do not move.
+    rng = np.random.default_rng(79)
+    for omega in (0.45, 0.8, 1.3, 2.1):
+        params = ScatterParams(omega, kd)
+        plan = mixed_plan(params) if mode == "mixed" else tomo.plan_standard(mode, params)
+        for _ in range(5):
+            rho = truth(mode, rng)
+            for r in tomo.run_plan(plan, rho, 0):
+                assert r.ideal_value == r.observed_value == tomo.ideal_value(r.setting, rho)
+                assert type(r.ideal_value) is float and r.standard_error == 0.0
+
+
+def test_run_plan_counts_are_binomial_at_pt():
+    # Pearson's chi-square of each setting's transmitted counts over many
+    # seeds against Binomial(shots, P_T), summed over the plan; the
+    # Wilson-Hilferty normal approximation of the sum must lie within 4
+    # standard deviations, so counts both too scattered and too regular fail.
+    plan = tomo.plan_standard("two_qubit_polarized", ScatterParams(0.9, 0.3))
+    rho = random_density(4, np.random.default_rng(83))
+    shots, n_seeds = 30, 1500
+    counts = np.array([[round(r.observed_value * shots) for r in tomo.run_plan(plan, rho, shots, s)]
+                       for s in range(n_seeds)])
+    stat, dof = 0.0, 0
+    for column, setting in zip(counts.T, plan.settings):
+        s, d = chi_square(column, shots, tomo.ideal_value(setting, rho))
+        stat, dof = stat + s, dof + d
+    z = ((stat / dof) ** (1.0 / 3.0) - (1.0 - 2.0 / (9.0 * dof))) / math.sqrt(2.0 / (9.0 * dof))
+    assert dof > 5 * len(plan.settings)
+    assert abs(z) < 4.0
+
+
+def test_run_plan_takes_what_default_rng_takes():
+    # a Generator is drawn from in place, as default_rng hands it back
+    plan = tomo.plan_standard("two_qubit_gates", ScatterParams(1.0, 0.2))
+    rho = random_density(4, np.random.default_rng(89))
+    seeded = record_fields(tomo.run_plan(plan, rho, 1000, 11))
+    gen = np.random.default_rng(11)
+    assert record_fields(tomo.run_plan(plan, rho, 1000, gen)) == seeded
+    assert record_fields(tomo.run_plan(plan, rho, 1000, gen)) != seeded
+    for seed in ([11], np.random.SeedSequence(11), np.random.PCG64(11)):
+        assert record_fields(tomo.run_plan(plan, rho, 1000, seed)) == seeded
+    with pytest.raises(TypeError):
+        tomo.run_plan(plan, rho, 0, 1.5)
+
+
+@pytest.mark.parametrize("shots", SHOTS)
+def test_measure_is_a_one_setting_run_plan(shots):
+    params = ScatterParams(0.7, 0.1)
+    rho = random_density(4, np.random.default_rng(97))
+    for s in mixed_plan(params).settings:
+        one = tomo.TomographyPlan(mode="two_qubit_gates", settings=(s,))
+        assert (record_fields([tomo.measure(s, rho, shots, 13)])
+                == record_fields(tomo.run_plan(one, rho, shots, 13)))
 
 
 def test_run_plan_validates_its_inputs():

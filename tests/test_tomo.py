@@ -330,48 +330,6 @@ def test_run_plan_determinism():
     assert [r.observed_value for r in r1] != [r.observed_value for r in r3]
 
 
-SPAWN_SEEDS = st.one_of(
-    st.sampled_from([None, 0, 2**31 - 1, 2**32, 2**64 + 3, 2**200 + 7]),
-    st.lists(st.integers(0, 2**70), min_size=3, max_size=3),
-    st.lists(st.integers(0, 2**70), min_size=6, max_size=6))
-
-
-@given(seed=SPAWN_SEEDS, n=st.integers(0, 40))
-def test_spawn_states_equal_numpy_spawn(seed, n):
-    # The derived words are those SeedSequence.spawn's children generate,
-    # and their Generators draw what default_rng(child) draws.
-    root = np.random.SeedSequence(seed)
-    states = tomo._spawn_states(root, n)
-    children = np.random.SeedSequence(root.entropy).spawn(n)
-    assert states.shape == (n, 4) and states.dtype == np.uint64
-    assert root.n_children_spawned == 0
-    for words, child in zip(states, children):
-        assert_array_equal(words, child.generate_state(4, np.uint64))
-    for rng, child in zip(tomo._spawned_generators(root, n), children):
-        ref = np.random.default_rng(child)
-        assert_array_equal(rng.binomial(1000, 0.3, 5), ref.binomial(1000, 0.3, 5))
-
-
-@pytest.mark.parametrize("root", [
-    np.random.SeedSequence(12345, spawn_key=(3, 2**40), pool_size=8, n_children_spawned=9),
-    np.random.SeedSequence([1, 2], spawn_key=(7,)),
-    np.random.SeedSequence(["0x1234", "010", b"12", [2**40, 5]]),
-    np.random.SeedSequence(np.array([5, 6, 7, 8, 9], dtype=np.uint32), pool_size=5),
-], ids=["spawned-pool8", "short-spawned", "strings", "uint32-pool5"])
-def test_spawn_states_follow_any_root(root):
-    states = tomo._spawn_states(root, 7)
-    for words, child in zip(states, root.spawn(7)):
-        assert_array_equal(words, child.generate_state(4, np.uint64))
-
-
-def test_child_state_refuses_other_requests():
-    state = tomo._ChildState(tomo._spawn_states(np.random.SeedSequence(3), 1)[0])
-    assert state.generate_state(4, np.uint64) is state.words
-    for n_words, dtype in ((4, np.uint32), (2, np.uint64), (8, np.uint64)):
-        with pytest.raises(ValueError):
-            state.generate_state(n_words, dtype)
-
-
 def test_pure_state_params_validation():
     with pytest.raises(ValueError):
         tomo.PureStateParams(1.0, 1.0, 0.0, 0.0)
