@@ -138,8 +138,16 @@ def parse_state(source: str, dim: int = 4) -> DensityMatrix:
         if len(vals) != 3:
             raise UsageError("bloch generator needs x,y,z")
         try:
-            return bloch_density([float(v) for v in vals])
-        except (ValueError, InvalidStateError) as exc:
+            v = [float(x) for x in vals]
+        except ValueError as exc:
+            raise UsageError(f"bloch: {exc}") from None
+        # A non-finite component is invalid state data (exit 2); a vector
+        # outside the Bloch ball stays a usage error.
+        if not all(map(math.isfinite, v)):
+            raise InvalidStateError(f"bloch: components must be finite, got {arg}")
+        try:
+            return bloch_density(v)
+        except InvalidStateError as exc:
             raise UsageError(f"bloch: {exc}") from None
     # Anything else is a file path.
     try:

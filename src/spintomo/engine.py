@@ -23,7 +23,6 @@ default working point is a quarter-wave spacing, mirror_phase = pi/2.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -54,6 +53,12 @@ REFLECTION_CACHE_SIZE = 64
 
 _I4 = np.eye(4, dtype=complex)
 _SIGMA = np.array([pauli(k) for k in range(4)])
+
+# The cycle trace's CSV: a header and one row per step, each ending in CRLF.
+# Phase names and integers need no quoting, and every float is printed
+# with 17 significant digits.
+_CSV_HEADER = "iteration,phase,bloch_x,bloch_y,bloch_z,entropy_nats\r\n"
+_CSV_ROW = "%d,%s,%.17g,%.17g,%.17g,%.17g\r\n"
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +115,7 @@ def reflection_channel(params: ScatterParams, mirror_phase: float) -> np.ndarray
     series = np.linalg.solve(inner, blk.t)
     r_tot = blk.r + blk.t_prime @ m @ series
     err = np.max(np.abs(r_tot.conj().T @ r_tot - _I4))
-    if err > 1e-10:
+    if not err <= 1e-10:
         raise RuntimeError(f"reflection operator not unitary: deviation {err:.3e}")
     r_tot.flags.writeable = False
     return r_tot
@@ -125,7 +130,7 @@ def interact_once(rho_s: DensityMatrix, reservoir: Reservoir,
     joint = np.kron(reservoir.state().mat, rho_s.mat)
     out = r @ joint @ r.conj().T
     tr_err = abs(out.trace() - 1.0)
-    if tr_err > TRACE_PRESERVATION_TOL:
+    if not tr_err <= TRACE_PRESERVATION_TOL:
         raise RuntimeError(f"collision broke trace preservation by {tr_err:.3e}")
     # Trace out the reservoir spin, the leading factor.
     return DensityMatrix(np.einsum("fsft->st", out.reshape(2, 2, 2, 2)))
@@ -143,10 +148,10 @@ def bloch_map(reservoir: Reservoir, config: EngineConfig) -> tuple:
     r = reflection_channel(config.params, config.mirror_phase).reshape(2, 2, 2, 2)
     choi = np.einsum("fsxa,xy,ftyb->asbt", r, reservoir.state().mat, r.conj())
     tp_err = np.max(np.abs(np.einsum("asbs->ab", choi) - np.eye(2)))
-    if tp_err > TRACE_PRESERVATION_TOL:
+    if not tp_err <= TRACE_PRESERVATION_TOL:
         raise RuntimeError(f"collision channel breaks trace preservation by {tp_err:.3e}")
     min_eig = np.linalg.eigvalsh(choi.reshape(4, 4)).min()
-    if min_eig < PSD_TOL:
+    if not min_eig >= PSD_TOL:
         raise RuntimeError(f"collision channel is not completely positive: "
                            f"Choi eigenvalue {min_eig:.3e}")
     affine = 0.5 * np.einsum("its,jab,asbt->ij", _SIGMA, _SIGMA, choi).real
@@ -187,15 +192,11 @@ class CycleTrace:
     final_state: DensityMatrix
 
     def to_csv(self, path) -> None:
+        """Write the steps as CSV rows ending in CRLF, in one write."""
+        rows = [_CSV_ROW % (s.iteration, s.phase, *s.bloch, s.entropy_nats)
+                for s in self.steps]
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["iteration", "phase", "bloch_x", "bloch_y", "bloch_z", "entropy_nats"])
-            for s in self.steps:
-                w.writerow([
-                    s.iteration, s.phase,
-                    f"{s.bloch.x:.17g}", f"{s.bloch.y:.17g}", f"{s.bloch.z:.17g}",
-                    f"{s.entropy_nats:.17g}",
-                ])
+            fh.write(_CSV_HEADER + "".join(rows))
 
 
 def _run_phase(v: np.ndarray, reservoir: Reservoir, target: np.ndarray,
@@ -212,7 +213,7 @@ def _run_phase(v: np.ndarray, reservoir: Reservoir, target: np.ndarray,
         v = m @ v + c
         x = v.tolist()
         norm = math.hypot(*x)
-        if norm > 1.0 + BLOCH_BALL_TOL:
+        if not norm <= 1.0 + BLOCH_BALL_TOL:
             raise RuntimeError(f"collision left the Bloch ball: |v| = {norm!r}")
         resid = 0.5 * math.dist(x, target)
         steps.append(CycleStep(iteration=i, phase=phase, bloch=BlochVector(*x),

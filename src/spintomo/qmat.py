@@ -112,13 +112,13 @@ class DensityMatrix:
         if mat.shape[0] not in ALLOWED_DIMS:
             raise InvalidStateError(f"dimension must be one of {ALLOWED_DIMS}, got {mat.shape[0]}")
         herm_err = np.max(np.abs(mat - mat.conj().T))
-        if herm_err > HERMITICITY_TOL:
+        if not herm_err <= HERMITICITY_TOL:
             raise InvalidStateError(f"not Hermitian: max deviation {herm_err:.3e}")
         tr_err = abs(mat.trace() - 1.0)
-        if tr_err > TRACE_TOL:
+        if not tr_err <= TRACE_TOL:
             raise InvalidStateError(f"trace differs from 1 by {tr_err:.3e}")
         evals = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
-        if evals.min() < PSD_TOL:
+        if not evals.min() >= PSD_TOL:
             raise InvalidStateError(f"not positive semidefinite: min eigenvalue {evals.min():.3e}")
         self._mat = mat
         self._mat.flags.writeable = False
@@ -259,7 +259,7 @@ def bloch_density(v) -> DensityMatrix:
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ValueError("Bloch vector must have 3 components")
-    if np.linalg.norm(v) > 1.0 + COEFF_TOL:
+    if not np.linalg.norm(v) <= 1.0 + COEFF_TOL:
         raise InvalidStateError(f"Bloch norm {np.linalg.norm(v):.6f} exceeds 1")
     return DensityMatrix(0.5 * (_I2 + n_dot_sigma(v)))
 

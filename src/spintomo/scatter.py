@@ -34,6 +34,16 @@ from .qmat import (
 
 UNITARITY_TOL = 1e-10
 CONDITION_LIMIT = 1e12
+# How far inside CONDITION_LIMIT the cascade's inverse-based certificate
+# stays.  It bounds what the SVD guard measures from above (Golub & Van
+# Loan, Matrix Computations, sec. 2.3): kappa_2(m) <= |m|_F |m^-1|_F and
+# 1/sigma_min(m) = |m^-1|_2 <= |m^-1|_F.  The computed inverse, like the
+# computed singular values, has a relative error of about n * kappa * eps,
+# below 2e-3 anywhere under the limit for n <= 8, so a margin of 64 keeps
+# every certified point well inside what the SVD guard accepts.  Each bound
+# overestimates by at most the block dimension n, so only points within a
+# factor 8 * 64 of a limit fall back to the SVD.
+_CERTIFICATE_MARGIN = 64.0
 # Distinct ScatterParams whose two-impurity blocks are kept; a tomography
 # plan shares one, so a handful of entries serves any run.
 BLOCK_CACHE_SIZE = 64
@@ -141,8 +151,15 @@ class ScatterBlock:
             mats.append(m)
         if len({m.shape for m in mats}) != 1:
             raise ValueError("all four blocks must share one shape")
-        s = self.full()
-        err = np.max(np.abs(_dagger(s) @ s - np.eye(s.shape[-1])))
+        # S^dag S from the column blocks L = [r; t] and R = [t'; r'] of S:
+        # its off-diagonal blocks are L^dag R and its conjugate transpose.
+        # np.max, not max, so that a NaN in any block propagates.
+        left = np.concatenate([self.r, self.t], axis=-2)
+        right = np.concatenate([self.t_prime, self.r_prime], axis=-2)
+        left_h, right_h = _dagger(left), _dagger(right)
+        ident = np.eye(self.dim)
+        err = np.max([np.max(np.abs(left_h @ left - ident)), np.max(np.abs(left_h @ right)),
+                      np.max(np.abs(right_h @ right - ident))])
         if not err <= UNITARITY_TOL:
             raise ValueError(f"scattering matrix is not unitary: deviation {err:.3e}")
 
@@ -277,14 +294,46 @@ def embed_block(block: ScatterBlock, which: str) -> ScatterBlock:
     return lifted
 
 
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of a complex matrix or of each matrix in a stack."""
+    x = m.reshape(m.shape[:-2] + (-1,)).view(float)
+    return np.sqrt(np.einsum("...i,...i->...", x, x))
+
+
+def _certified(m: np.ndarray, inv: np.ndarray) -> bool:
+    """Whether every point of m passes the resonance guard on the strength
+    of its computed inverse alone; False is inconclusive, not resonant."""
+    limit = CONDITION_LIMIT / _CERTIFICATE_MARGIN
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv_norm = _frobenius(inv)
+        return bool(np.all((_frobenius(m) * inv_norm <= limit) & (inv_norm <= limit)))
+
+
+def _svd_guard(m: np.ndarray) -> None:
+    """Refuse a condition number above CONDITION_LIMIT or a smallest singular
+    value below its inverse at any point of m."""
+    # A well-conditioned but tiny matrix (a near-zero multiple of the
+    # identity) is as singular as an ill-conditioned one; NaN refuses too.
+    s = np.linalg.svd(m, compute_uv=False)
+    s_max, s_min = s[..., 0], s[..., -1]
+    resonant = ~((s_max <= CONDITION_LIMIT * s_min) & (s_min >= 1.0 / CONDITION_LIMIT))
+    if resonant.any():
+        raise ResonantCascadeError(
+            "resonant cascade: multiple-scattering inversion has singular "
+            f"values {s_max[resonant][0]:.3e} down to {s_min[resonant][0]:.3e}")
+
+
 def cascade(b1: ScatterBlock, b2: ScatterBlock, params: ScatterParams) -> ScatterBlock:
     """Compose two scatterers separated by the propagation phase kd_phase.
 
     b1 sits on the left.  Multiple scattering between them is summed as a
     geometric series; the inversion is guarded against resonant (singular)
     configurations, refusing a condition number above CONDITION_LIMIT or a
-    smallest singular value below its inverse.  Reflection phases are
-    referenced to each scatterer's own interface.
+    smallest singular value below its inverse.  The guard first certifies
+    each point from the Frobenius norms of the matrix and of its computed
+    inverse, and runs the SVD only when that is inconclusive; it refuses
+    exactly what the SVD alone refuses.  Reflection phases are referenced to
+    each scatterer's own interface.
 
     Stacked blocks and grid params broadcast: the result holds one cascade
     per grid point, and every point is guarded; one resonant point refuses
@@ -298,18 +347,18 @@ def cascade(b1: ScatterBlock, b2: ScatterBlock, params: ScatterParams) -> Scatte
 
     m1 = ident - ph2 * (b1.r_prime @ b2.r)
     m2 = ident - ph2 * (b2.r @ b1.r_prime)
-    for m in (m1, m2):
-        # A well-conditioned but tiny matrix (a near-zero multiple of the
-        # identity) is as singular as an ill-conditioned one; NaN refuses too.
-        s = np.linalg.svd(m, compute_uv=False)
-        s_max, s_min = s[..., 0], s[..., -1]
-        resonant = ~((s_max <= CONDITION_LIMIT * s_min) & (s_min >= 1.0 / CONDITION_LIMIT))
-        if resonant.any():
-            raise ResonantCascadeError(
-                "resonant cascade: multiple-scattering inversion has singular "
-                f"values {s_max[resonant][0]:.3e} down to {s_min[resonant][0]:.3e}")
-    inv1 = np.linalg.solve(m1, ident)
-    inv2 = np.linalg.solve(m2, ident)
+    try:
+        inv1 = np.linalg.solve(m1, ident)
+        inv2 = np.linalg.solve(m2, ident)
+    except np.linalg.LinAlgError:
+        certified = False
+    else:
+        certified = _certified(m1, inv1) and _certified(m2, inv2)
+    if not certified:
+        for m in (m1, m2):
+            _svd_guard(m)
+        inv1 = np.linalg.solve(m1, ident)
+        inv2 = np.linalg.solve(m2, ident)
 
     t_c = ph * (b2.t @ inv1 @ b1.t)
     r_c = b1.r + ph2 * (b1.t_prime @ b2.r @ inv1 @ b1.t)

@@ -219,7 +219,8 @@ def run_plan(plan: TomographyPlan, rho: DensityMatrix, shots: int,
     probabilities, in plan order.  The unknowns of each target (the
     register, or one marginal) are taken from rho once, and that target's
     P_T are read off its cached design.  numpy.random is loaded on the
-    first call, not when the module is imported.
+    first call that draws or is given a seed, not when the module is
+    imported.
     """
     rng = _generator(shots, seed)
     by_target = {}
@@ -236,10 +237,14 @@ def run_plan(plan: TomographyPlan, rho: DensityMatrix, shots: int,
 
 
 def _generator(shots: int, seed):
-    """The Generator of a simulation's draws, after checking its shots."""
+    """The Generator of a simulation's draws, after checking its shots; None
+    for a noiseless run without a seed."""
     if not 0 <= shots < 2**63:
         raise ValueError("shots must be nonnegative and below 2**63")
-    # The seed is checked even when no record draws from it.
+    if shots == 0 and seed is None:
+        # No record draws, and no seed to check: skip the OS entropy read.
+        return None
+    # A given seed is checked even when no record draws from it.
     return np.random.default_rng(seed)
 
 

@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from spintomo import cli
-from spintomo.qmat import save_density, singlet, trace_distance
+from spintomo.qmat import (
+    InvalidStateError,
+    cmatrix_to_json,
+    save_density,
+    singlet,
+    trace_distance,
+)
 
 
 def run(argv):
@@ -342,3 +348,33 @@ def test_repeated_main_calls_match_separate_runs(tmp_path, capsys):
         assert sorted(p.name for p in here.iterdir()) == files
         for name in files:
             assert (here / name).read_bytes() == (fresh / name).read_bytes()
+
+
+@pytest.mark.parametrize("state", ["bloch:nan,0,0", "bloch:0,nan,0.5", "bloch:0,0,inf"])
+def test_non_finite_bloch_state_exits_2(tmp_path, capsys, state):
+    out = tmp_path / "trace.csv"
+    assert run(["engine", "--omega", "0.5", "--state", state, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert run(["tomo", "--mode", "single_qubit_ancilla", "--omega", "1.0",
+                "--state", state]) == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err.count("validation error: bloch: components must be finite") == 2
+
+
+def test_bloch_state_outside_the_ball_stays_a_usage_error(capsys):
+    assert run(["engine", "--omega", "0.5", "--state", "bloch:2,0,0"]) == 1
+    assert capsys.readouterr().err == "usage error: bloch: Bloch norm 2.000000 exceeds 1\n"
+
+
+def test_nan_state_file_is_invalid(tmp_path, capsys):
+    obj = cmatrix_to_json(singlet().mat)
+    obj["im"][6] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(InvalidStateError):
+        cli.parse_state(str(path))
+    assert run(["tomo", "--mode", "two_qubit_gates", "--omega", "1.0",
+                "--state", str(path)]) == 2
+    assert run(["sweep", "--omega-range", "0.5:1:0.5", "--state", str(path)]) == 2
+    assert capsys.readouterr().err.count("validation error: not Hermitian") == 2

@@ -1,3 +1,6 @@
+import csv
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -161,3 +164,76 @@ def test_trace_csv(tmp_path):
     first = lines[1].split(",")
     assert first[1] == "FM"
     assert abs(float(first[5]) - LN2) < 1e-12
+
+
+def reference_to_csv(trace, path):
+    """The trace's CSV written row by row through Python's csv module."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["iteration", "phase", "bloch_x", "bloch_y", "bloch_z", "entropy_nats"])
+        for s in trace.steps:
+            w.writerow([
+                s.iteration, s.phase,
+                f"{s.bloch.x:.17g}", f"{s.bloch.y:.17g}", f"{s.bloch.z:.17g}",
+                f"{s.entropy_nats:.17g}",
+            ])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_trace_csv_bytes_equal_the_csv_module(tmp_path, seed):
+    # Seeded cycles from pure, mixed and random starts, at both sides of the
+    # quarter-wave point and at the inert mirror phase 0.  A pure start opens
+    # with a -0 entropy row.
+    rng = np.random.default_rng(seed)
+    starts = [polarized_qubit(_unit(rng)), maximally_mixed(2), random_density(2, rng),
+              bloch_density(0.5 * _unit(rng))]
+    phases = [eng.DEFAULT_MIRROR_PHASE, rng.uniform(0.35, np.pi - 0.35), 0.0]
+    for k, start in enumerate(starts):
+        config = _config(rng.uniform(0.1, 2.0), phase=phases[k % 3],
+                         max_iters=int(rng.integers(1, 300)))
+        trace = eng.run_cycle(start, config, fm_axis=_unit(rng))
+        got, want = tmp_path / f"got{k}.csv", tmp_path / f"want{k}.csv"
+        trace.to_csv(got)
+        reference_to_csv(trace, want)
+        assert got.read_bytes() == want.read_bytes()
+        assert got.read_bytes().count(b"\r\n") == len(trace.steps) + 1
+    pure = eng.run_cycle(polarized_qubit("z"), _config(0.5, max_iters=20))
+    pure.to_csv(got)
+    reference_to_csv(pure, want)
+    assert got.read_bytes() == want.read_bytes()
+    assert got.read_bytes().split(b"\r\n")[1] == b"0,FM,0,0,1,-0"
+
+
+def test_engine_guards_refuse_nan(monkeypatch):
+    # Each guard is written so that a NaN deviation fails it.
+    config = _config(0.37)
+    reservoir = eng.Reservoir("polarized")
+    with pytest.raises(RuntimeError, match="left the Bloch ball"):
+        eng._run_phase(np.array([np.nan, 0.0, 0.0]), reservoir, reservoir.axis, config,
+                       "FM", [])
+    nan_r = np.full((4, 4), np.nan, dtype=complex)
+    monkeypatch.setattr(eng, "reflection_channel", lambda params, phase: nan_r)
+    with pytest.raises(RuntimeError, match="trace preservation by nan"):
+        eng.bloch_map(reservoir, config)
+    with pytest.raises(RuntimeError, match="trace preservation by nan"):
+        eng.interact_once(maximally_mixed(2), reservoir, config)
+    monkeypatch.undo()
+
+    good = eng.qubit_block(ScatterParams(0.37))
+    bad = SimpleNamespace(r=np.full((4, 4), np.nan, dtype=complex), t=good.t,
+                          r_prime=good.r_prime, t_prime=good.t_prime)
+    monkeypatch.setattr(eng, "qubit_block", lambda params: bad)
+    eng.reflection_channel.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="not unitary: deviation nan"):
+            eng.reflection_channel(ScatterParams(0.37), 1.0)
+    finally:
+        eng.reflection_channel.cache_clear()
+
+
+def test_bloch_map_refuses_a_nan_choi_eigenvalue(monkeypatch):
+    # The trace-preservation check passes, but the Choi spectrum is NaN.
+    reservoir = eng.Reservoir("unpolarized")
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.array([np.nan, 0.5]))
+    with pytest.raises(RuntimeError, match="Choi eigenvalue nan"):
+        eng.bloch_map(reservoir, _config(0.37))

@@ -318,6 +318,30 @@ def test_run_plan_checks_the_seed_without_shots():
             == record_fields(tomo.run_plan(plan, rho, 0)))
 
 
+def test_noiseless_runs_without_a_seed_build_no_generator(monkeypatch):
+    # Nothing draws and no seed needs checking, so default_rng (which reads
+    # OS entropy when given None) is not called; a given seed still is.
+    plan = mixed_plan(ScatterParams(0.8, 0.2))
+    rho = random_density(4, np.random.default_rng(7))
+    want = record_fields(tomo.run_plan(plan, rho, 0, 5))
+    calls = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(seed=None):
+        calls.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    assert record_fields(tomo.run_plan(plan, rho, 0)) == want
+    assert record_fields([tomo.measure(s, rho, 0) for s in plan.settings]) == want
+    assert calls == []
+    tomo.run_plan(plan, rho, 0, 5)
+    tomo.measure(plan.settings[0], rho, 0, 5)
+    assert calls == [5, 5]
+    with pytest.raises(ValueError):
+        tomo.measure(plan.settings[0], rho, 0, -1)
+
+
 def test_shots_beyond_int64_refused_before_any_generator():
     # the binomial draw takes at most 2**63 - 1 trials; a larger count is
     # refused at the shots check, before the bad seed -1 is looked at

@@ -239,3 +239,40 @@ def test_ket_density_normalization_guard():
 
 def test_bloch_vector_norm():
     assert BlochVector(0.6, 0.0, 0.8).norm() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_density_matrix_refuses_nan(dim):
+    # Every check is written so that a NaN deviation fails it.
+    with pytest.raises(InvalidStateError):
+        DensityMatrix(np.full((dim, dim), np.nan))
+    for i, j in ((0, 0), (0, 1), (dim - 1, 0)):
+        mat = np.eye(dim, dtype=complex) / dim
+        mat[i, j] = mat[j, i] = np.nan
+        with pytest.raises(InvalidStateError, match="nan"):
+            DensityMatrix(mat)
+
+
+def test_density_matrix_refuses_a_nan_spectrum(monkeypatch):
+    # A NaN entry already fails the hermiticity check; the positivity check
+    # refuses a NaN eigenvalue of its own.
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.array([np.nan, 0.5]))
+    with pytest.raises(InvalidStateError, match="min eigenvalue nan"):
+        DensityMatrix(np.eye(2) / 2)
+
+
+@pytest.mark.parametrize("v", [[np.nan, 0.0, 0.0], [0.0, np.nan, 0.5], [np.inf, 0.0, 0.0]])
+def test_bloch_density_refuses_non_finite(v):
+    # refused by its own norm check, before a matrix is built
+    with pytest.raises(InvalidStateError, match="Bloch norm"):
+        bloch_density(v)
+
+
+def test_load_density_refuses_a_nan_entry(tmp_path):
+    obj = cmatrix_to_json(singlet().mat)
+    obj["re"][5] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(obj))
+    assert "NaN" in path.read_text()
+    with pytest.raises(InvalidStateError):
+        load_density(path)
