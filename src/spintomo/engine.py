@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -171,8 +172,7 @@ def _entropy_of_bloch_norm(norm: float) -> float:
     return entropy
 
 
-@dataclass(frozen=True)
-class CycleStep:
+class CycleStep(NamedTuple):
     iteration: int
     phase: str
     bloch: BlochVector
@@ -216,8 +216,7 @@ def _run_phase(v: np.ndarray, reservoir: Reservoir, target: np.ndarray,
         if not norm <= 1.0 + BLOCH_BALL_TOL:
             raise RuntimeError(f"collision left the Bloch ball: |v| = {norm!r}")
         resid = 0.5 * math.dist(x, target)
-        steps.append(CycleStep(iteration=i, phase=phase, bloch=BlochVector(*x),
-                               entropy_nats=_entropy_of_bloch_norm(norm)))
+        steps.append(CycleStep(i, phase, BlochVector(*x), _entropy_of_bloch_norm(norm)))
         if resid < config.tol:
             converged = True
             break
@@ -237,8 +236,7 @@ def run_cycle(initial: DensityMatrix, config: EngineConfig,
     steps: list = []
 
     start = bloch(initial)
-    steps.append(CycleStep(iteration=0, phase="FM", bloch=start,
-                           entropy_nats=von_neumann_entropy(initial)))
+    steps.append(CycleStep(0, "FM", start, von_neumann_entropy(initial)))
     v, fm_iters, fm_ok, fm_resid = _run_phase(
         start.as_array(), fm, fm.axis, config, "FM", steps)
     s_fm_end = steps[-1].entropy_nats

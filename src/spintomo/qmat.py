@@ -111,6 +111,9 @@ class DensityMatrix:
             raise InvalidStateError(f"density matrix must be square, got shape {mat.shape}")
         if mat.shape[0] not in ALLOWED_DIMS:
             raise InvalidStateError(f"dimension must be one of {ALLOWED_DIMS}, got {mat.shape[0]}")
+        # inf - inf would warn below; a NaN entry fails the hermiticity check.
+        if np.isinf(mat).any():
+            raise InvalidStateError("density matrix has an infinite entry")
         herm_err = np.max(np.abs(mat - mat.conj().T))
         if not herm_err <= HERMITICITY_TOL:
             raise InvalidStateError(f"not Hermitian: max deviation {herm_err:.3e}")
@@ -218,21 +221,28 @@ def assemble_array(vec) -> np.ndarray:
     arr = np.asarray(vec, dtype=float)
     if arr.shape != (15,):
         raise ValueError(f"expected a 15-vector of coefficients, got shape {arr.shape}")
-    return np.tensordot(np.concatenate(([1.0], arr)), PAULI_BASIS, axes=1) / 4.0
+    row = np.concatenate(([1.0], arr))[None]  # (1, 16), as np.tensordot shapes it
+    return np.dot(row, PAULI_BASIS.reshape(16, 16)).reshape(4, 4) / 4.0
 
 
-def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
-    """Reduce a two-qubit state to one marginal.
-
-    keep is "first" or "second".  The marginal satisfies the usual trace
-    identities, e.g. trace(rho_first * sigma_z) = a[3][0].
-    """
+def _marginal(rho: DensityMatrix, keep: str) -> np.ndarray:
+    """The keep marginal of a validated two-qubit state, not validated again."""
     if rho.dim != 4:
         raise ValueError(f"partial_trace needs a two-qubit state, got dim {rho.dim}")
     if keep not in ("first", "second"):
         raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
     subscripts = "ijkj->ik" if keep == "first" else "jijk->ik"
-    return DensityMatrix(np.einsum(subscripts, rho.mat.reshape(2, 2, 2, 2)))
+    return np.einsum(subscripts, rho.mat.reshape(2, 2, 2, 2))
+
+
+def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
+    """Reduce a two-qubit state to one marginal, validated as a DensityMatrix.
+
+    keep is "first" or "second".  The marginal satisfies the usual trace
+    identities, e.g. trace(rho_first * sigma_z) = a[3][0].  tomo reads a
+    marginal's Bloch vector off the validated register, with no second check.
+    """
+    return DensityMatrix(_marginal(rho, keep))
 
 
 class BlochVector(NamedTuple):
@@ -251,7 +261,13 @@ def bloch(rho: DensityMatrix) -> BlochVector:
     """Bloch vector (<sigma_x>, <sigma_y>, <sigma_z>) of a one-qubit state."""
     if rho.dim != 2:
         raise ValueError(f"bloch needs a one-qubit state, got dim {rho.dim}")
-    return BlochVector(*(rho.expect(pauli(k)) for k in (1, 2, 3)))
+    return BlochVector(*_bloch_values(rho))
+
+
+def _bloch_values(rho: DensityMatrix, keep: str | None = None) -> list:
+    """trace(m sigma_k).real, k = x, y, z, of rho or its keep marginal m."""
+    m = rho.mat if keep is None else _marginal(rho, keep)
+    return [float((m @ _PAULIS[k]).trace().real) for k in (1, 2, 3)]
 
 
 def bloch_density(v) -> DensityMatrix:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,11 +39,10 @@ from .qmat import (
     PAULI_BASIS,
     PAULI_PAIRS,
     PSD_TOL,
+    _bloch_values,
     assemble_array,
-    bloch,
     decompose,
     maximally_mixed,
-    partial_trace,
     pauli,
     polarized_qubit,
     unit_axis,
@@ -143,8 +143,9 @@ class MeasurementSetting:
         return row, float(c[0])
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementRecord:
+class MeasurementRecord(NamedTuple):
+    """One simulated readout: Python floats, and shots a Python int."""
+
     setting: MeasurementSetting
     ideal_value: float
     shots: int
@@ -162,6 +163,15 @@ class TomographyPlan:
             raise ValueError(f"unknown mode {self.mode!r}")
         object.__setattr__(self, "settings", tuple(self.settings))
 
+    @cached_property
+    def _targets(self) -> list:
+        """(positions, matrix, offsets) of each target's settings, grouped once."""
+        by_target = {}
+        for k, s in enumerate(self.settings):
+            by_target.setdefault(_target(s), []).append(k)
+        return [(np.array(idx), *_design(tuple(self.settings[k] for k in idx))[:2])
+                for idx in by_target.values()]
+
 
 def _flying_state(setting: MeasurementSetting) -> DensityMatrix:
     if setting.injector_axis is None:
@@ -177,17 +187,15 @@ def _target(setting: MeasurementSetting) -> tuple:
 
 def _unknowns(setting: MeasurementSetting, rho: DensityMatrix) -> np.ndarray:
     """The coordinates of rho that the setting's row acts on: the 15 Pauli
-    coefficients of a register, or the Bloch vector of an ancilla's target."""
+    coefficients of a register, or the Bloch vector of an ancilla's target,
+    a marginal's read off the validated register with no second state."""
     if setting.ancilla_axis is None:
         if rho.dim != 4:
             raise ValueError(f"register settings need a two-qubit state, got dim {rho.dim}")
         return decompose(rho).a.ravel()[1:]
-    target = rho
-    if setting.marginal_target is not None:
-        target = partial_trace(rho, setting.marginal_target)
-    if target.dim != 2:
+    if setting.marginal_target is None and rho.dim != 2:
         raise ValueError("ancilla settings probe a one-qubit target")
-    return np.array(bloch(target))
+    return np.array(_bloch_values(rho, setting.marginal_target))
 
 
 def ideal_value(setting: MeasurementSetting, rho: DensityMatrix) -> float:
@@ -223,16 +231,11 @@ def run_plan(plan: TomographyPlan, rho: DensityMatrix, shots: int,
     imported.
     """
     rng = _generator(shots, seed)
-    by_target = {}
-    for k, s in enumerate(plan.settings):
-        by_target.setdefault(_target(s), []).append(k)
     pt = np.empty(len(plan.settings))
-    for idx in by_target.values():
-        group = tuple(plan.settings[k] for k in idx)
-        a, b, _ = _design(group)
+    for idx, a, b in plan._targets:
         # vecdot sums each row as ideal_value's row @ unknowns does, so P_T
         # equals ideal_value bit for bit; a @ unknowns would not.
-        pt[idx] = b + np.vecdot(a, _unknowns(group[0], rho))
+        pt[idx] = b + np.vecdot(a, _unknowns(plan.settings[idx[0]], rho))
     return _sample(plan.settings, pt, shots, rng)
 
 
@@ -295,11 +298,11 @@ def build_design_matrix(plan_or_settings) -> tuple:
 def _design(settings: tuple) -> tuple:
     """(matrix, offsets, singular values) of a settings tuple, read-only.
 
-    A design depends on its settings alone, never on the records, and
-    settings are frozen and hashed by identity, so the stack and its
-    singular values are built once per tuple.  The cache holds two tuples
-    per cached plan, as an ancilla plan splits into two targets.  A refused
-    tuple is not cached, so it raises on every call.
+    A design depends on its settings alone, never on the state, so it is
+    built once per tuple of frozen settings (hashed by identity), and
+    _solve_facts reads its flatness, rank and condition number once.  The
+    cache holds two tuples per cached plan (an ancilla plan has two targets).
+    A refused tuple is not cached, so it raises on every call.
     """
     if len({_target(s) for s in settings}) > 1:
         raise ValueError("settings mix different unknowns; split by target first")
@@ -363,7 +366,17 @@ def _guarded_solve(records) -> tuple:
     Raises FlatDesignError when the design carries no sensitivity at all and
     RankDeficientPlanError when it cannot determine every unknown.
     """
-    a, b, svals = _design(tuple(r.setting for r in records))
+    a, b, rank, cond = _solve_facts(tuple([r.setting for r in records]))
+    y = np.array([r.observed_value for r in records]) - b
+    x, _, _, resid = _solve_weighted(a, y, _weights(records))
+    return x, rank, cond, resid
+
+
+@lru_cache(maxsize=2 * PLAN_CACHE_SIZE)
+def _solve_facts(settings: tuple) -> tuple:
+    """(matrix, offsets, rank, condition number) of a settings tuple's design,
+    once per tuple; a refused tuple is not cached, so it raises every call."""
+    a, b, svals = _design(settings)
     # A uniformly small design passes the relative rank test below.
     if svals.max() < FLAT_DESIGN_TOL:
         raise FlatDesignError(f"design is flat: largest singular value {svals.max():.3e}")
@@ -371,9 +384,8 @@ def _guarded_solve(records) -> tuple:
     if rank < a.shape[1]:
         raise RankDeficientPlanError(
             f"design matrix rank {rank} < {a.shape[1]}; the plan cannot determine the state")
-    y = np.array([r.observed_value for r in records]) - b
-    x, _, _, resid = _solve_weighted(a, y, _weights(records))
-    return x, rank, float(svals.max() / svals.min()), resid
+    # Full column rank: every singular value is above the rank test's tolerance.
+    return a, b, rank, float(svals.max() / svals.min())
 
 
 def _psd_repair(mat: np.ndarray) -> tuple:
@@ -810,13 +822,7 @@ def setting_to_json(s: MeasurementSetting) -> dict:
 
 
 def record_to_json(r: MeasurementRecord) -> dict:
-    return {
-        "setting": setting_to_json(r.setting),
-        "ideal_value": r.ideal_value,
-        "shots": r.shots,
-        "observed_value": r.observed_value,
-        "standard_error": r.standard_error,
-    }
+    return dict(r._asdict(), setting=setting_to_json(r.setting))
 
 
 def plan_to_json(plan: TomographyPlan) -> dict:

@@ -367,6 +367,30 @@ def test_bloch_state_outside_the_ball_stays_a_usage_error(capsys):
     assert capsys.readouterr().err == "usage error: bloch: Bloch norm 2.000000 exceeds 1\n"
 
 
+def test_infinite_state_file_exits_2_without_a_warning(tmp_path, capsys):
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps({"dim": 2, "re": [float("inf"), 0, 0, 0], "im": [0, 0, 0, 0]}))
+    assert "Infinity" in path.read_text()
+    obj = cmatrix_to_json(singlet().mat)
+    obj["re"][5] = float("inf")
+    path4 = tmp_path / "inf4.json"
+    path4.write_text(json.dumps(obj))
+    argvs = [["engine", "--omega", "0.5", "--state", str(path), "--out", str(tmp_path / "t.csv")],
+             ["tomo", "--mode", "two_qubit_gates", "--omega", "1.0", "--state", str(path4)]]
+    want = "validation error: density matrix has an infinite entry\n"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for argv in argvs:
+            assert run(argv) == 2
+            assert capsys.readouterr() == ("", want)
+    assert caught == []
+    # the same under the suite's error::RuntimeWarning filter
+    for argv in argvs:
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", want)
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_nan_state_file_is_invalid(tmp_path, capsys):
     obj = cmatrix_to_json(singlet().mat)
     obj["im"][6] = float("nan")

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from spintomo import engine as eng
 from spintomo.qmat import (
+    BlochVector,
     bloch,
     bloch_density,
     maximally_mixed,
@@ -152,6 +153,16 @@ def test_run_cycle_deterministic():
     t2 = eng.run_cycle(maximally_mixed(2), _config(0.7))
     assert t1.entropy_transferred_nats == t2.entropy_transferred_nats
     assert [s.bloch for s in t1.steps] == [s.bloch for s in t2.steps]
+
+
+def test_cycle_steps_are_immutable():
+    trace = eng.run_cycle(maximally_mixed(2), _config(0.6, max_iters=5))
+    for step in trace.steps:
+        types = [type(v) for v in (step.iteration, step.phase, step.bloch, step.entropy_nats)]
+        assert types == [int, str, BlochVector, float]
+        for name in eng.CycleStep._fields:
+            with pytest.raises(AttributeError):
+                setattr(step, name, getattr(step, name))
 
 
 def test_trace_csv(tmp_path):

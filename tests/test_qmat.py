@@ -253,6 +253,21 @@ def test_density_matrix_refuses_nan(dim):
             DensityMatrix(mat)
 
 
+@pytest.mark.parametrize("dim", [2, 4, 8])
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, complex(0.0, np.inf), complex(np.inf, np.inf)])
+def test_density_matrix_refuses_an_infinite_entry_without_a_warning(dim, entry):
+    # pytest turns a RuntimeWarning into an error, so the refusal must come
+    # before the hermiticity subtraction, where inf - inf would warn.
+    for i, j in ((0, 0), (0, 1), (dim - 1, 0)):
+        mat = np.eye(dim, dtype=complex) / dim
+        mat[i, j] = entry
+        with pytest.raises(InvalidStateError, match="^density matrix has an infinite entry$"):
+            DensityMatrix(mat)
+        mat[j, i] = np.conj(entry)
+        with pytest.raises(InvalidStateError, match="^density matrix has an infinite entry$"):
+            DensityMatrix(mat)
+
+
 def test_density_matrix_refuses_a_nan_spectrum(monkeypatch):
     # A NaN entry already fails the hermiticity check; the positivity check
     # refuses a NaN eigenvalue of its own.
