@@ -9,8 +9,9 @@ sequence and decomposing in the Pauli basis, so no hand-derived coefficient
 formulas enter.  A setting builds its row once, and simulation and inversion
 share it.  Every standard plan is read off one table of setting specs and
 built once per (mode, params), so repeated experiments share its settings
-and their rows.  A settings tuple's design (stacked rows, offsets and
-singular values) is likewise built once, read-only, in a bounded cache.
+and their rows.  A settings tuple's design (rows, offsets, singular values,
+pseudo-inverse) is built once, read-only; the pseudo-inverse solves where the
+weights drop out (square design, noiseless records), lstsq all other records.
 
 Supported reconstruction modes:
 
@@ -260,7 +261,7 @@ def _sample(settings: tuple, pt: np.ndarray, shots: int, rng) -> list:
     n_t = rng.binomial(shots, np.clip(pt, 0.0, 1.0))
     p_smooth = (n_t + 1.0) / (shots + 2.0)
     se = np.sqrt(p_smooth * (1.0 - p_smooth) / shots)
-    return [MeasurementRecord(s, p, shots, f, e)
+    return [MeasurementRecord(s, p, int(shots), f, e)
             for s, p, f, e in zip(settings, ideal, (n_t / shots).tolist(), se.tolist())]
 
 
@@ -314,25 +315,35 @@ def _design(settings: tuple) -> tuple:
     return a, b, svals
 
 
-def _weights(records) -> np.ndarray:
-    return np.array([1.0 / r.standard_error if r.standard_error > 0 else 1.0
-                     for r in records])
+def _weights(records):
+    """1/se per noisy record, 1 per noiseless one (shots 0); None if all are."""
+    if all(r.shots == 0 for r in records):
+        return None
+    return np.array([1.0 / r.standard_error if r.shots else 1.0 for r in records])
 
 
-def _solve_weighted(a: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple:
-    aw = a * w[:, None]
-    yw = y * w
+def _solve_weighted(a: np.ndarray, y: np.ndarray, w, pinv=None) -> tuple:
+    """(x, rank, singular values, residual) of min ||W (a x - y)||, W = diag(w)
+    or I for w None.  Where W drops out (square a, or W = I), a's pseudo-inverse
+    (pinv, else built here at full column rank) solves; elsewhere lstsq."""
+    rows, cols = a.shape
+    aw, yw = (a, y) if w is None else (a * w[:, None], y * w)
+    if rows == cols or w is None:
+        if pinv is None and rows >= cols and np.linalg.matrix_rank(a) == cols:
+            pinv = np.linalg.pinv(a, rtol=None)
+        if pinv is not None:
+            x = pinv @ y
+            return x, cols, None, float(np.linalg.norm(aw @ x - yw))
     x, _, rank, svals = np.linalg.lstsq(aw, yw, rcond=None)
-    resid = float(np.linalg.norm(aw @ x - yw))
-    return x, rank, svals, resid
+    return x, rank, svals, float(np.linalg.norm(aw @ x - yw))
 
 
 def reconstruct_single(records) -> DensityMatrix:
     """Invert ancilla-probe records into a one-qubit state.
 
-    Requires settings along enough ancilla axes to fix the Bloch vector;
-    noise may push the estimate outside the Bloch ball, in which case the
-    vector is radially clipped to unit norm.
+    Requires ancilla axes enough to fix the Bloch vector; three make a square
+    design, solved by its cached pseudo-inverse at any shots.  Noise may push
+    the estimate outside the Bloch ball; it is then radially clipped to norm 1.
     """
     if any(r.setting.ancilla_axis is None for r in records):
         raise ValueError("reconstruct_single expects ancilla-based records")
@@ -364,18 +375,20 @@ def _guarded_solve(records) -> tuple:
     act on, as (estimate, design rank, condition number, weighted residual).
 
     Raises FlatDesignError when the design carries no sensitivity at all and
-    RankDeficientPlanError when it cannot determine every unknown.
+    RankDeficientPlanError when it cannot determine every unknown.  The weights
+    drop out on a square design and for noiseless records (W = I), which the
+    cached pseudo-inverse solves; lstsq solves noisy over-determined ones.
     """
-    a, b, rank, cond = _solve_facts(tuple([r.setting for r in records]))
+    a, b, pinv, rank, cond = _solve_facts(tuple([r.setting for r in records]))
     y = np.array([r.observed_value for r in records]) - b
-    x, _, _, resid = _solve_weighted(a, y, _weights(records))
+    x, _, _, resid = _solve_weighted(a, y, _weights(records), pinv)
     return x, rank, cond, resid
 
 
 @lru_cache(maxsize=2 * PLAN_CACHE_SIZE)
 def _solve_facts(settings: tuple) -> tuple:
-    """(matrix, offsets, rank, condition number) of a settings tuple's design,
-    once per tuple; a refused tuple is not cached, so it raises every call."""
+    """(matrix, offsets, pseudo-inverse, rank, condition number) of a design,
+    once per settings tuple; a refused tuple is not cached: it raises each call."""
     a, b, svals = _design(settings)
     # A uniformly small design passes the relative rank test below.
     if svals.max() < FLAT_DESIGN_TOL:
@@ -384,8 +397,10 @@ def _solve_facts(settings: tuple) -> tuple:
     if rank < a.shape[1]:
         raise RankDeficientPlanError(
             f"design matrix rank {rank} < {a.shape[1]}; the plan cannot determine the state")
-    # Full column rank: every singular value is above the rank test's tolerance.
-    return a, b, rank, float(svals.max() / svals.min())
+    # Full column rank: no singular value is below pinv's lstsq cutoff either.
+    pinv = np.linalg.pinv(a, rtol=None)
+    pinv.flags.writeable = False
+    return a, b, pinv, rank, float(svals.max() / svals.min())
 
 
 def _psd_repair(mat: np.ndarray) -> tuple:
@@ -407,9 +422,9 @@ def _psd_repair(mat: np.ndarray) -> tuple:
 def reconstruct_two_qubit(records, plan: TomographyPlan) -> tuple:
     """Weighted linear inversion of register records into a two-qubit state.
 
-    Returns (state, coefficients, diagnostics).  diagnostics carries the
-    design rank and condition number, the weighted residual norm, and what
-    the positivity repair had to do (if anything).
+    Returns (state, coefficients, diagnostics); diagnostics carries the design
+    rank and condition number, the weighted residual norm, and the PSD repair
+    done, if any.  _guarded_solve says when the cached pseudo-inverse solves.
     """
     if len(records) != len(plan.settings):
         raise ValueError("records do not match the plan")
@@ -679,7 +694,7 @@ def _pure_model(records) -> tuple:
     y = np.array([r.observed_value for r in records])
     w = _weights(records)
     x_lin, _, _, _ = _solve_weighted(a, y - b, w)
-    return _design_forms(settings), b, y, w, _amplitude_seed(x_lin)
+    return _design_forms(settings), b, y, 1.0 if w is None else w, _amplitude_seed(x_lin)
 
 
 @lru_cache(maxsize=2 * PLAN_CACHE_SIZE)
