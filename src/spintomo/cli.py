@@ -100,6 +100,22 @@ def parse_range(text: str) -> np.ndarray:
     return a + step * np.arange(n)
 
 
+def _finite_values(name: str, arg: str, fields: str) -> list:
+    """The floats of a generator's comma-separated argument.  A non-finite
+    one is invalid state data (exit 2); values that give no state, such as
+    a vector outside the Bloch ball, stay a usage error."""
+    vals = arg.split(",")
+    if len(vals) != fields.count(",") + 1:
+        raise UsageError(f"{name} generator needs {fields}")
+    try:
+        v = [float(x) for x in vals]
+    except ValueError as exc:
+        raise UsageError(f"{name}: {exc}") from None
+    if not all(map(math.isfinite, v)):
+        raise InvalidStateError(f"{name}: components must be finite, got {arg}")
+    return v
+
+
 def parse_state(source: str, dim: int = 4) -> DensityMatrix:
     """A density matrix from a generator string or a JSON file path.
 
@@ -125,26 +141,13 @@ def parse_state(source: str, dim: int = 4) -> DensityMatrix:
             raise UsageError(f"random generator needs an integer seed, got {arg!r}") from None
         return random_density(dim, np.random.default_rng(seed))
     if name == "pure":
-        vals = arg.split(",")
-        if len(vals) != 7:
-            raise UsageError("pure generator needs a1,a2,a3,a4,th1,th2,th4")
+        v = _finite_values(name, arg, "a1,a2,a3,a4,th1,th2,th4")
         try:
-            p = tomo.PureStateParams(*(float(v) for v in vals))
+            return tomo.PureStateParams(*v).density()
         except ValueError as exc:
             raise UsageError(f"pure: {exc}") from None
-        return p.density()
     if name == "bloch":
-        vals = arg.split(",")
-        if len(vals) != 3:
-            raise UsageError("bloch generator needs x,y,z")
-        try:
-            v = [float(x) for x in vals]
-        except ValueError as exc:
-            raise UsageError(f"bloch: {exc}") from None
-        # A non-finite component is invalid state data (exit 2); a vector
-        # outside the Bloch ball stays a usage error.
-        if not all(map(math.isfinite, v)):
-            raise InvalidStateError(f"bloch: components must be finite, got {arg}")
+        v = _finite_values(name, arg, "x,y,z")
         try:
             return bloch_density(v)
         except InvalidStateError as exc:
@@ -395,9 +398,8 @@ def _suite_plan_rank(rng) -> tuple:
     worst = 0.0
     for mode in ("two_qubit_gates", "two_qubit_polarized"):
         plan = tomo.plan_standard(mode, ScatterParams(1.0, 0.0))
-        a, _, sv = tomo._design(plan.settings)
-        rank = tomo._rank(sv, a.shape)
-        worst = max(worst, float(15 - rank), float(sv.max() / sv.min() / 1e4))
+        rank, cond = tomo._design(plan.settings)[3:5]
+        worst = max(worst, float(15 - rank), cond / 1e4)
     return worst, 1.0
 
 

@@ -97,7 +97,7 @@ class EngineConfig:
             raise ValueError("mirror_phase must be finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.tol <= 0:
+        if not self.tol > 0:  # NaN fails too
             raise ValueError("tol must be positive")
 
 

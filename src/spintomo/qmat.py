@@ -90,7 +90,7 @@ def unit_axis(axis) -> np.ndarray:
     n = np.asarray(axis, dtype=float)
     if n.shape != (3,):
         raise ValueError("axis must be a 3-vector")
-    if abs(np.linalg.norm(n) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(n) - 1.0) <= 1e-9:  # NaN fails too
         raise ValueError(f"axis must be a unit vector, got norm {np.linalg.norm(n)}")
     return n
 

@@ -10,7 +10,8 @@ formulas enter.  A setting builds its row once, and simulation and inversion
 share it.  Every standard plan is read off one table of setting specs and
 built once per (mode, params), so repeated experiments share its settings
 and their rows.  A settings tuple's design (rows, offsets, singular values,
-pseudo-inverse) is built once, read-only; the pseudo-inverse solves where the
+rank, condition number, pseudo-inverse) is built once, read-only, and every
+reconstruction reads its guards from it; the pseudo-inverse solves where the
 weights drop out (square design, noiseless records), lstsq all other records.
 
 Supported reconstruction modes:
@@ -291,28 +292,35 @@ def build_design_matrix(plan_or_settings) -> tuple:
     time for ancilla plans).  Each settings tuple's design is built once
     (see _design).
     """
-    a, b, _ = _design(tuple(getattr(plan_or_settings, "settings", plan_or_settings)))
-    return a, b
+    return _design(tuple(getattr(plan_or_settings, "settings", plan_or_settings)))[:2]
 
 
 @lru_cache(maxsize=2 * PLAN_CACHE_SIZE)
 def _design(settings: tuple) -> tuple:
-    """(matrix, offsets, singular values) of a settings tuple, read-only.
+    """(matrix, offsets, singular values, rank, condition number,
+    pseudo-inverse) of a settings tuple, read-only.
 
     A design depends on its settings alone, never on the state, so it is
-    built once per tuple of frozen settings (hashed by identity), and
-    _solve_facts reads its flatness, rank and condition number once.  The
-    cache holds two tuples per cached plan (an ancilla plan has two targets).
-    A refused tuple is not cached, so it raises on every call.
+    built once per tuple of frozen settings (hashed by identity), and every
+    reconstruction reads its guards here.  A flat or rank-deficient design
+    has condition number and pseudo-inverse None.  The cache holds two tuples
+    per cached plan (an ancilla plan has two targets).
     """
     if len({_target(s) for s in settings}) > 1:
         raise ValueError("settings mix different unknowns; split by target first")
     rows, offsets = zip(*(setting_row(s) for s in settings))
     a, b = np.array(rows), np.array(offsets)
     svals = np.linalg.svd(a, compute_uv=False)
+    rank = _rank(svals, a.shape)
+    cond = pinv = None
+    if svals[0] >= FLAT_DESIGN_TOL and rank == a.shape[1]:
+        # Full column rank: no singular value is 0 or below pinv's cutoff.
+        cond = float(svals[0] / svals[-1])
+        pinv = np.linalg.pinv(a, rtol=None)
+        pinv.flags.writeable = False
     for v in (a, b, svals):
         v.flags.writeable = False
-    return a, b, svals
+    return a, b, svals, rank, cond, pinv
 
 
 def _weights(records):
@@ -322,20 +330,16 @@ def _weights(records):
     return np.array([1.0 / r.standard_error if r.shots else 1.0 for r in records])
 
 
-def _solve_weighted(a: np.ndarray, y: np.ndarray, w, pinv=None) -> tuple:
-    """(x, rank, singular values, residual) of min ||W (a x - y)||, W = diag(w)
-    or I for w None.  Where W drops out (square a, or W = I), a's pseudo-inverse
-    (pinv, else built here at full column rank) solves; elsewhere lstsq."""
-    rows, cols = a.shape
+def _solve_weighted(a: np.ndarray, y: np.ndarray, w, pinv) -> tuple:
+    """(x, weighted residual) of min ||W (a x - y)||, W = diag(w) or I for w
+    None.  Where W drops out (square a, or W = I), a's pseudo-inverse pinv
+    solves, if the design has one; elsewhere lstsq."""
     aw, yw = (a, y) if w is None else (a * w[:, None], y * w)
-    if rows == cols or w is None:
-        if pinv is None and rows >= cols and np.linalg.matrix_rank(a) == cols:
-            pinv = np.linalg.pinv(a, rtol=None)
-        if pinv is not None:
-            x = pinv @ y
-            return x, cols, None, float(np.linalg.norm(aw @ x - yw))
-    x, _, rank, svals = np.linalg.lstsq(aw, yw, rcond=None)
-    return x, rank, svals, float(np.linalg.norm(aw @ x - yw))
+    if pinv is not None and (w is None or a.shape[0] == a.shape[1]):
+        x = pinv @ y
+    else:
+        x = np.linalg.lstsq(aw, yw, rcond=None)[0]
+    return x, float(np.linalg.norm(aw @ x - yw))
 
 
 def reconstruct_single(records) -> DensityMatrix:
@@ -370,37 +374,31 @@ def _rank(svals: np.ndarray, shape: tuple) -> int:
     return int(np.count_nonzero(svals > svals.max() * max(shape) * np.finfo(svals.dtype).eps))
 
 
+def _refuse_flat(svals: np.ndarray) -> None:
+    """Refuse a design whose largest singular value, svals[0], is below
+    FLAT_DESIGN_TOL: a uniformly small design passes the relative rank test."""
+    if svals[0] < FLAT_DESIGN_TOL:
+        raise FlatDesignError(f"design is flat: largest singular value {svals[0]:.3e}")
+
+
 def _guarded_solve(records) -> tuple:
     """Weighted least-squares estimate of the unknowns the records' settings
     act on, as (estimate, design rank, condition number, weighted residual).
 
     Raises FlatDesignError when the design carries no sensitivity at all and
-    RankDeficientPlanError when it cannot determine every unknown.  The weights
-    drop out on a square design and for noiseless records (W = I), which the
-    cached pseudo-inverse solves; lstsq solves noisy over-determined ones.
+    RankDeficientPlanError when it cannot determine every unknown, reading
+    both from the cached design.  The weights drop out on a square design and
+    for noiseless records (W = I), which the cached pseudo-inverse solves;
+    lstsq solves noisy over-determined ones.
     """
-    a, b, pinv, rank, cond = _solve_facts(tuple([r.setting for r in records]))
-    y = np.array([r.observed_value for r in records]) - b
-    x, _, _, resid = _solve_weighted(a, y, _weights(records), pinv)
-    return x, rank, cond, resid
-
-
-@lru_cache(maxsize=2 * PLAN_CACHE_SIZE)
-def _solve_facts(settings: tuple) -> tuple:
-    """(matrix, offsets, pseudo-inverse, rank, condition number) of a design,
-    once per settings tuple; a refused tuple is not cached: it raises each call."""
-    a, b, svals = _design(settings)
-    # A uniformly small design passes the relative rank test below.
-    if svals.max() < FLAT_DESIGN_TOL:
-        raise FlatDesignError(f"design is flat: largest singular value {svals.max():.3e}")
-    rank = _rank(svals, a.shape)
+    a, b, svals, rank, cond, pinv = _design(tuple([r.setting for r in records]))
+    _refuse_flat(svals)
     if rank < a.shape[1]:
         raise RankDeficientPlanError(
             f"design matrix rank {rank} < {a.shape[1]}; the plan cannot determine the state")
-    # Full column rank: no singular value is below pinv's lstsq cutoff either.
-    pinv = np.linalg.pinv(a, rtol=None)
-    pinv.flags.writeable = False
-    return a, b, pinv, rank, float(svals.max() / svals.min())
+    y = np.array([r.observed_value for r in records]) - b
+    x, resid = _solve_weighted(a, y, _weights(records), pinv)
+    return x, rank, cond, resid
 
 
 def _psd_repair(mat: np.ndarray) -> tuple:
@@ -509,6 +507,8 @@ class PureStateParams:
 
     def __post_init__(self):
         amps = (self.a1, self.a2, self.a3, self.a4)
+        if not np.all(np.isfinite(amps + (self.th1, self.th2, self.th4))):
+            raise ValueError("amplitudes and phases must be finite")
         if any(a < -1e-12 for a in amps):
             raise ValueError("amplitudes must be nonnegative")
         nrm = sum(a * a for a in amps)
@@ -688,12 +688,15 @@ def _restart_kets(chi0: np.ndarray) -> np.ndarray:
 def _pure_model(records) -> tuple:
     """(qt, b, y, w, chi0) of a pure fit: the real forms of the operators
     Q_k = sum_j a_kj sigma_j whose expectations are the records' affine
-    parts (see _ket_model), and the seed angles of the starts."""
+    parts (see _ket_model), and the seed angles of the starts.  A flat design
+    is refused as in _guarded_solve; a rank-deficient one (pure_state's is
+    rank 9) has no pseudo-inverse, so lstsq seeds the starts."""
     settings = tuple(r.setting for r in records)
-    a, b, _ = _design(settings)
+    a, b, svals, _, _, pinv = _design(settings)
+    _refuse_flat(svals)
     y = np.array([r.observed_value for r in records])
     w = _weights(records)
-    x_lin, _, _, _ = _solve_weighted(a, y - b, w)
+    x_lin = _solve_weighted(a, y - b, w, pinv)[0]
     return _design_forms(settings), b, y, 1.0 if w is None else w, _amplitude_seed(x_lin)
 
 
@@ -760,7 +763,8 @@ def reconstruct_pure(records) -> PureStateFit:
     PureFitError; so do noiseless records that two different states fit
     equally well, as the plan cannot identify the state then.  Besides the
     fits themselves, the complex conjugate of every fit is tried as such a
-    twin.
+    twin, and the least similar twin is reported.  A flat design raises
+    FlatDesignError.
     """
     qt, b, y, w, chi0 = _pure_model(records)
     noiseless = all(r.shots == 0 for r in records)
@@ -798,7 +802,9 @@ def reconstruct_pure(records) -> PureStateFit:
         overlap = np.abs(rivals @ best.conj()) ** 2
         clash = np.flatnonzero((rival_res <= best_res + 1e-9) & (overlap < 1.0 - 1e-8))
         if clash.size:
-            k = clash[0]
+            # The least similar rival: the first clash would hang on the
+            # order of residuals equal to rounding.
+            k = clash[np.argmin(overlap[clash])]
             raise PureFitError(
                 f"fits with residuals {_residual_text(best_res)} and "
                 f"{_residual_text(rival_res[k])} reach states of fidelity "

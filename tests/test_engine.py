@@ -36,6 +36,8 @@ def test_config_validation():
         eng.EngineConfig(params=ScatterParams(1.0), max_iters=0)
     with pytest.raises(ValueError):
         eng.EngineConfig(params=ScatterParams(1.0), tol=-1.0)
+    with pytest.raises(ValueError, match="^tol must be positive$"):
+        eng.EngineConfig(params=ScatterParams(1.0), tol=float("nan"))
     with pytest.raises(ValueError):
         eng.EngineConfig(params=ScatterParams(1.0), mirror_phase=np.inf)
 

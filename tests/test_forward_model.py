@@ -180,3 +180,44 @@ def test_unpolarized_transmission_is_collective_rotation_invariant(omega, kd, se
     uu = np.kron(u, u)
     rotated = DensityMatrix(uu @ rho.mat @ uu.conj().T)
     assert abs(tomo.ideal_value(setting, rotated) - tomo.ideal_value(setting, rho)) < 1e-14
+
+
+def gate_free_settings(omega: float, kd: float) -> list:
+    """The unpolarized setting and the six +-x, +-y, +-z injections, no gates."""
+    params = ScatterParams(omega, kd)
+    return [tomo.MeasurementSetting(params=params)] + [
+        tomo.MeasurementSetting(params=params, injector_axis=axis, injector_sign=sign)
+        for axis in "xyz" for sign in (+1, -1)]
+
+
+@pytest.mark.parametrize("points, rank", [
+    ([(omega, 0.0) for omega in (0.5, 1.0, 1.5, 2.0)], 4),
+    ([(1.0, kd) for kd in (0.0, 0.3, 0.6, 0.9, 1.2)], 7),
+    ([(omega, kd) for omega in (0.5, 1.0, 1.5) for kd in (0.0, 0.4, 0.8)], 10),
+], ids=["omega-at-kd-0", "kd-at-omega-1", "omega-by-kd"])
+def test_gate_free_settings_see_the_pair_observable_terms(points, rank):
+    # The pair observable is alpha + beta s1.s2 + n.(g1 s1 + g2 s2) + delta
+    # n.(s1 x s2).  At kd = 0, g1 = g2 and delta = 0, so s1.s2 and n.(s1 + s2)
+    # are all any omega shows (4).  At one omega, (g1, g2, delta) over kd span
+    # two directions per axis (7); omega and kd together reach all ten terms.
+    # The five symmetric traceless correlations are seen only through gates.
+    rows = [tomo.setting_row(s)[0] for p in points for s in gate_free_settings(*p)]
+    assert np.linalg.matrix_rank(np.array(rows)) == rank
+
+
+def test_two_qubit_gates_design_is_one_matrix_times_a_scalar():
+    # Every unpolarized row is beta(omega, kd) times a parameter-free row, so
+    # the plan's design has one zero pattern and one condition number.
+    def design(omega, kd):
+        a = tomo.build_design_matrix(tomo.plan_standard("two_qubit_gates",
+                                                        ScatterParams(omega, kd)))[0]
+        return a, np.abs(a) > 1e-9 * np.abs(a).max()
+
+    ref, mask = design(1.0, 0.0)
+    for omega, kd in [(0.7, 0.4), (1.3, 0.6), (0.5, 1.1), (2.0, 2.5)]:
+        a, support = design(omega, kd)
+        assert_array_equal(support, mask)
+        ratio = a[mask] / ref[mask]
+        assert_allclose(ratio, ratio[0], rtol=1e-12, atol=0.0)
+        svals = np.linalg.svd(a, compute_uv=False)
+        assert svals[0] / svals[-1] == pytest.approx(8.8875635778348, rel=1e-12)

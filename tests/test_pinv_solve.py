@@ -3,7 +3,7 @@ the weights drop out of the weighted least-squares estimate.
 
 On a square design of full rank the estimate is the inverse times the
 records for any positive weights, and noiseless records weigh 1 each (W =
-I).  Both are solved by the pseudo-inverse that _solve_facts builds once per
+I).  Both are solved by the pseudo-inverse that _design builds once per
 design; noisy records of an over-determined design keep np.linalg.lstsq on
 the weighted system, bit for bit.  The references are np.linalg.lstsq itself
 and the refusals' exact messages.
@@ -47,10 +47,11 @@ positive_weights = st.lists(st.floats(1e-3, 1e3), min_size=15, max_size=15)
 def test_square_designs_ignore_the_weights(n, log_cond, seed, w1, w2):
     a = design_with_condition(n, n, 10.0**log_cond, seed)
     y = np.random.default_rng(seed + 1).uniform(-1.0, 1.0, n)
-    x1 = tomo._solve_weighted(a, y, np.array(w1[:n]))[0]
-    x2 = tomo._solve_weighted(a, y, np.array(w2[:n]))[0]
+    pinv = np.linalg.pinv(a, rtol=None)
+    x1 = tomo._solve_weighted(a, y, np.array(w1[:n]), pinv)[0]
+    x2 = tomo._solve_weighted(a, y, np.array(w2[:n]), pinv)[0]
     assert x1.tobytes() == x2.tobytes()
-    assert x1.tobytes() == tomo._solve_weighted(a, y, None)[0].tobytes()
+    assert x1.tobytes() == tomo._solve_weighted(a, y, None, pinv)[0].tobytes()
     lstsq_close(a, y, x1)
 
 
@@ -61,7 +62,7 @@ def test_tall_noiseless_designs_match_lstsq(cols, extra, log_cond, seed):
     rng = np.random.default_rng(seed + 1)
     # Consistent records (noiseless) and inconsistent ones alike.
     for y in (a @ rng.uniform(-1.0, 1.0, cols), rng.uniform(-1.0, 1.0, cols + extra)):
-        lstsq_close(a, y, tomo._solve_weighted(a, y, None)[0])
+        lstsq_close(a, y, tomo._solve_weighted(a, y, None, np.linalg.pinv(a, rtol=None))[0])
 
 
 @given(cols=st.integers(1, 15), extra=st.integers(1, 8), log_cond=st.floats(0.0, 8.0),
@@ -73,7 +74,7 @@ def test_tall_weighted_designs_are_lstsq_bit_for_bit(cols, extra, log_cond, seed
     w = np.array(data.draw(st.lists(st.floats(1e-3, 1e3), min_size=rows, max_size=rows)))
     # Unit weights too: they are noisy records whose standard error is 1.
     for weights in (w, np.ones(rows)):
-        x, _, _, resid = tomo._solve_weighted(a, y, weights, np.linalg.pinv(a))
+        x, resid = tomo._solve_weighted(a, y, weights, np.linalg.pinv(a))
         ref = np.linalg.lstsq(a * weights[:, None], y * weights, rcond=None)[0]
         assert x.tobytes() == ref.tobytes()
         assert resid == float(np.linalg.norm((a * weights[:, None]) @ ref - y * weights))
@@ -84,12 +85,12 @@ def test_tall_weighted_designs_are_lstsq_bit_for_bit(cols, extra, log_cond, seed
 def test_pure_state_design_stays_lstsq_bit_for_bit(omega, kd, seed, shots):
     plan = tomo.plan_standard("pure_state", ScatterParams(omega, kd))
     records = tomo.run_plan(plan, random_density(4, np.random.default_rng(seed)), shots, seed)
-    a, b, _ = tomo._design(plan.settings)
+    a, b, _, _, _, pinv = tomo._design(plan.settings)
     y = np.array([r.observed_value for r in records]) - b
     w = np.ones(len(records)) if shots == 0 else np.array(
         [1.0 / r.standard_error for r in records])
     ref = np.linalg.lstsq(a * w[:, None], y * w, rcond=None)[0]
-    assert tomo._solve_weighted(a, y, tomo._weights(records))[0].tobytes() == ref.tobytes()
+    assert tomo._solve_weighted(a, y, tomo._weights(records), pinv)[0].tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("mode", ["two_qubit_gates", "first_qubit_marginal",
@@ -174,16 +175,17 @@ def test_each_design_builds_one_read_only_pseudo_inverse(mode, designs):
     # An uncached plan build gives fresh settings, so fresh design keys.
     plan = tomo._standard_plan.__wrapped__(mode, ScatterParams(0.65, 0.45))
     rng = np.random.default_rng(64)
-    before = tomo._solve_facts.cache_info()
+    before = tomo._design.cache_info()
     for shots in (0, 1000, 0, 100_000):
         reconstruct(plan, tomo.run_plan(plan, random_density(4, rng), shots,
                                         int(rng.integers(2**31))))
-    after = tomo._solve_facts.cache_info()
+    after = tomo._design.cache_info()
+    # The first run_plan builds each design; every reconstruction reads it.
     assert after.misses - before.misses == designs
-    assert after.hits - before.hits == 4 * designs - designs
+    assert after.hits - before.hits == 4 * designs
     for target in {tomo._target(s) for s in plan.settings}:
         settings = tuple(s for s in plan.settings if tomo._target(s) == target)
-        a, _, pinv, _, _ = tomo._solve_facts(settings)
+        a, _, _, _, _, pinv = tomo._design(settings)
         assert not pinv.flags.writeable
         assert pinv.shape == a.shape[::-1]
         assert pinv.tobytes() == np.linalg.pinv(a, rtol=None).tobytes()

@@ -70,6 +70,9 @@ def test_unit_axis_names_and_vectors():
         unit_axis([0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         unit_axis("q")
+    for bad in ([np.nan, 0.0, 0.0], [0.6, np.nan, 0.8], [np.inf, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="^axis must be a unit vector"):
+            unit_axis(bad)
 
 
 def test_density_matrix_validation():

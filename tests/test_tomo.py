@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -335,6 +336,10 @@ def test_pure_state_params_validation():
         tomo.PureStateParams(1.0, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         tomo.PureStateParams(-0.5, 0.5, 0.5, 0.5)
+    for bad in ((np.nan, 0.0, 0.0, 1.0), (0.5, 0.5, 0.5, 0.5, np.inf),
+                (0.5, 0.5, 0.5, 0.5, 0.0, np.nan), (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -np.inf)):
+        with pytest.raises(ValueError, match="^amplitudes and phases must be finite$"):
+            tomo.PureStateParams(*bad)
 
 
 def test_pure_params_singlet_exchange():
@@ -556,6 +561,33 @@ def test_pure_fit_rejects_conjugate_twin(omega, k):
     ket = np.array([1.0, 0.0, 0.0, np.exp(1j * k * np.pi / 4)]) / np.sqrt(2.0)
     with pytest.raises(tomo.PureFitError, match="cannot identify"):
         tomo.reconstruct_pure(tomo.run_plan(plan, ket_density(ket), 0))
+
+
+def refusals(records, orderings: int, seed: int) -> set:
+    """The pure fit's refusal messages over random orderings of the records."""
+    rng = np.random.default_rng(seed)
+    messages = set()
+    for _ in range(orderings):
+        with pytest.raises(tomo.PureFitError, match="cannot identify") as info:
+            tomo.reconstruct_pure([records[i] for i in rng.permutation(len(records))])
+        messages.add(str(info.value))
+    return messages
+
+
+def test_pure_refusal_does_not_depend_on_record_order():
+    # Rivals whose residuals differ by rounding swap places when the records
+    # are reordered; the refusal names the least similar one, so every
+    # ordering reports one fidelity.
+    records = tomo.run_plan(tomo.plan_standard("pure_state", PARAMS), werner(0.5), 0)
+    assert refusals(records, 12, 81) == {
+        "fits with residuals < 1e-12 and < 1e-12 reach states of fidelity 0.062500; "
+        "the plan cannot identify the state"}
+    plan = tomo.plan_standard("pure_state", ScatterParams(0.7))
+    for k in (1, 2, 3, 5, 6, 7):
+        ket = np.array([1.0, 0.0, 0.0, np.exp(1j * k * np.pi / 4)]) / np.sqrt(2.0)
+        messages = refusals(tomo.run_plan(plan, ket_density(ket), 0), 10, 82 + k)
+        # Residuals above 1e-12 keep digits that the ordering moves.
+        assert len({re.search(r"fidelity (\S+);", m).group(1) for m in messages}) == 1
 
 
 def test_unpolarized_flying_state_is_built_once():

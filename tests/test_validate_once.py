@@ -139,11 +139,11 @@ def test_design_facts_are_read_once_per_settings_tuple():
     plan = tomo.plan_standard("two_qubit_gates", ScatterParams(0.95, 0.25))
     records = tomo.run_plan(plan, random_density(4, np.random.default_rng(33)), 0)
     first = tomo._guarded_solve(records)
-    before = tomo._solve_facts.cache_info()
+    before = tomo._design.cache_info()
     again = tomo._guarded_solve(list(records))
-    after = tomo._solve_facts.cache_info()
+    after = tomo._design.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-    a, _, svals = tomo._design(plan.settings)
+    a, _, svals = tomo._design(plan.settings)[:3]
     assert first[1:3] == again[1:3] == (np.linalg.matrix_rank(a),
                                          float(svals.max() / svals.min()))
 
