@@ -200,21 +200,16 @@ def _phase_factors(params: ScatterParams) -> tuple:
 
 def _zero_phase_omega_squared(params: ScatterParams):
     """omega**2 for a closed form, which refuses a nonzero kd_phase and an
-    omega whose square overflows a float.
-
-    Each grid point is squared with the scalar **: numpy's array square
-    rounds about one value in a thousand differently, and a grid's closed
-    forms must equal its single points digit for digit.
-    """
+    omega whose square overflows a float.  omega * omega is correctly
+    rounded, so a grid's squares equal its single points'."""
     if np.count_nonzero(params.kd_phase):
         raise ValueError("closed form assumes kd_phase = 0")
-    try:
-        if not isinstance(params.omega, np.ndarray):
-            return params.omega ** 2
-        return np.array([w ** 2 for w in params.omega.tolist()]).reshape(params.omega.shape)
-    except OverflowError:
+    with np.errstate(over="ignore"):
+        w2 = np.multiply(params.omega, params.omega)
+    if not np.isfinite(w2).all():
         worst = float(np.max(np.abs(params.omega)))
-        raise ValueError(f"omega**2 overflows in the closed form, |omega| = {worst}") from None
+        raise ValueError(f"omega**2 overflows in the closed form, |omega| = {worst}")
+    return w2
 
 
 def _pointlike_block(t: np.ndarray) -> ScatterBlock:

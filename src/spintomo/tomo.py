@@ -298,13 +298,15 @@ def build_design_matrix(plan_or_settings) -> tuple:
 @lru_cache(maxsize=2 * PLAN_CACHE_SIZE)
 def _design(settings: tuple) -> tuple:
     """(matrix, offsets, singular values, rank, condition number,
-    pseudo-inverse) of a settings tuple, read-only.
+    pseudo-inverse, real forms) of a settings tuple, read-only.
 
     A design depends on its settings alone, never on the state, so it is
     built once per tuple of frozen settings (hashed by identity), and every
     reconstruction reads its guards here.  A flat or rank-deficient design
-    has condition number and pseudo-inverse None.  The cache holds two tuples
-    per cached plan (an ancilla plan has two targets).
+    has condition number and pseudo-inverse None.  A register design (15
+    columns) carries the pure fit's real forms (see _real_forms); an
+    ancilla design carries None.  The cache holds two tuples per cached
+    plan (an ancilla plan has two targets).
     """
     if len({_target(s) for s in settings}) > 1:
         raise ValueError("settings mix different unknowns; split by target first")
@@ -317,10 +319,11 @@ def _design(settings: tuple) -> tuple:
         # Full column rank: no singular value is 0 or below pinv's cutoff.
         cond = float(svals[0] / svals[-1])
         pinv = np.linalg.pinv(a, rtol=None)
-        pinv.flags.writeable = False
-    for v in (a, b, svals):
-        v.flags.writeable = False
-    return a, b, svals, rank, cond, pinv
+    forms = _real_forms(a) if a.shape[1] == len(PAULI_PAIRS) else None
+    for v in (a, b, svals, pinv, forms):
+        if v is not None:
+            v.flags.writeable = False
+    return a, b, svals, rank, cond, pinv, forms
 
 
 def _weights(records):
@@ -391,7 +394,7 @@ def _guarded_solve(records) -> tuple:
     for noiseless records (W = I), which the cached pseudo-inverse solves;
     lstsq solves noisy over-determined ones.
     """
-    a, b, svals, rank, cond, pinv = _design(tuple([r.setting for r in records]))
+    a, b, svals, rank, cond, pinv, _ = _design(tuple([r.setting for r in records]))
     _refuse_flat(svals)
     if rank < a.shape[1]:
         raise RankDeficientPlanError(
@@ -686,28 +689,17 @@ def _restart_kets(chi0: np.ndarray) -> np.ndarray:
 
 
 def _pure_model(records) -> tuple:
-    """(qt, b, y, w, chi0) of a pure fit: the real forms of the operators
-    Q_k = sum_j a_kj sigma_j whose expectations are the records' affine
-    parts (see _ket_model), and the seed angles of the starts.  A flat design
-    is refused as in _guarded_solve; a rank-deficient one (pure_state's is
-    rank 9) has no pseudo-inverse, so lstsq seeds the starts."""
-    settings = tuple(r.setting for r in records)
-    a, b, svals, _, _, pinv = _design(settings)
+    """(qt, b, y, w, chi0) of a pure fit: the design's real forms of the
+    operators Q_k = sum_j a_kj sigma_j whose expectations are the records'
+    affine parts (see _ket_model), and the seed angles of the starts.  A flat
+    design is refused as in _guarded_solve; a rank-deficient one (pure_state's
+    is rank 9) has no pseudo-inverse, so lstsq seeds the starts."""
+    a, b, svals, _, _, pinv, qt = _design(tuple(r.setting for r in records))
     _refuse_flat(svals)
     y = np.array([r.observed_value for r in records])
     w = _weights(records)
     x_lin = _solve_weighted(a, y - b, w, pinv)[0]
-    return _design_forms(settings), b, y, 1.0 if w is None else w, _amplitude_seed(x_lin)
-
-
-@lru_cache(maxsize=2 * PLAN_CACHE_SIZE)
-def _design_forms(settings: tuple) -> np.ndarray:
-    """_real_forms of a settings tuple's design matrix, read-only.  Like the
-    design, it depends on the settings alone, so it is built once per
-    tuple, in a cache as large as _design's."""
-    qt = _real_forms(_design(settings)[0])
-    qt.flags.writeable = False
-    return qt
+    return qt, b, y, 1.0 if w is None else w, _amplitude_seed(x_lin)
 
 
 def _real_forms(a: np.ndarray) -> np.ndarray:
@@ -733,13 +725,6 @@ def _ket_params(psi: np.ndarray) -> PureStateParams:
                            th1=phases[0], th2=phases[1], th4=phases[3])
 
 
-def _residual_text(res: float) -> str:
-    """A residual for a message: below 1e-12 its digits are rounding noise
-    that any reordering of the fit's arithmetic moves, so only the bound is
-    printed."""
-    return "< 1e-12" if res < 1e-12 else f"{res:.3e}"
-
-
 def reconstruct_pure(records) -> PureStateFit:
     """Fit a pure state to transmission records.
 
@@ -761,10 +746,11 @@ def reconstruct_pure(records) -> PureStateFit:
     amplitude below 1e-6 are reported as unconstrained.  Noiseless records
     that no start can fit indicate a non-pure input state and raise
     PureFitError; so do noiseless records that two different states fit
-    equally well, as the plan cannot identify the state then.  Besides the
-    fits themselves, the complex conjugate of every fit is tried as such a
-    twin, and the least similar twin is reported.  A flat design raises
-    FlatDesignError.
+    equally well, as the plan cannot identify the state then.  One scan over
+    the fits and the complex conjugate of every fit finds the least similar
+    state that fits as well as the best (within 1e-9), and the refusal prints
+    its infidelity, 1 - overlap with the best fit, or "< 1e-6" below 1e-6.
+    A flat design raises FlatDesignError.
     """
     qt, b, y, w, chi0 = _pure_model(records)
     noiseless = all(r.shots == 0 for r in records)
@@ -792,23 +778,22 @@ def reconstruct_pure(records) -> PureStateFit:
             f"best residual {best_res:.3e} on noiseless records; the input "
             "state is not pure")
     if noiseless:
-        # Besides the fits, try the complex conjugate of every fit: twins
-        # that no start need reach.
+        # Every fit and its complex conjugate, a twin that no start need
+        # reach, is a candidate.  The least similar candidate that fits as
+        # well as the best is the rival: the first one would hang on the
+        # order of residuals equal to rounding.
         twins = kets.conj()
         twin_x = np.concatenate([twins.real, twins.imag], axis=1)
         twin_res = np.linalg.norm(_ket_model(twin_x, qt, b, y, w)[0], axis=1)
-        rivals = np.concatenate([kets[1:], twins])
-        rival_res = np.concatenate([res[1:], twin_res])
-        overlap = np.abs(rivals @ best.conj()) ** 2
-        clash = np.flatnonzero((rival_res <= best_res + 1e-9) & (overlap < 1.0 - 1e-8))
-        if clash.size:
-            # The least similar rival: the first clash would hang on the
-            # order of residuals equal to rounding.
-            k = clash[np.argmin(overlap[clash])]
+        overlap = np.abs(np.concatenate([kets, twins]) @ best.conj()) ** 2
+        tied = np.concatenate([res, twin_res]) <= best_res + 1e-9
+        rival = np.min(overlap, where=tied, initial=1.0)
+        if rival < 1.0 - 1e-8:
+            # Below 1e-6 the infidelity's digits are the fit's resolution.
+            infidelity = f"{1.0 - rival:.1e}" if 1.0 - rival >= 1e-6 else "< 1e-6"
             raise PureFitError(
-                f"fits with residuals {_residual_text(best_res)} and "
-                f"{_residual_text(rival_res[k])} reach states of fidelity "
-                f"{overlap[k]:.6f}; the plan cannot identify the state")
+                "fits that reproduce the records equally well reach states of "
+                f"infidelity {infidelity}; the plan cannot identify the state")
 
     params = _ket_params(best)
     amps = (params.a1, params.a2, params.a3, params.a4)

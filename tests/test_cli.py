@@ -224,19 +224,19 @@ def test_tomo_pure_mode_unidentifiable_exit_2(capsys):
     assert "cannot identify" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("state, omega, fidelity", [
-    ("werner:0.5", "1.0", "0.062500"),
+@pytest.mark.parametrize("state, omega, infidelity", [
+    ("werner:0.5", "1.0", "9.4e-01"),
     (f"pure:{0.5**0.5!r},0,0,{0.5**0.5!r},0,0,{np.pi / 4!r}", "0.7", None),
 ])
-def test_tomo_pure_refusal_prints_no_rounding_floor_digits(capsys, state, omega, fidelity):
+def test_tomo_pure_refusal_prints_no_rounding_floor_digits(capsys, state, omega, infidelity):
     # Residuals at the rounding floor change with any reordering of the
-    # fit's arithmetic; the refusal prints them as a bound, not as digits.
+    # fit's arithmetic; the refusal prints the rival's infidelity only.
     assert run(["tomo", "--mode", "pure_state", "--state", state, "--omega", omega]) == 2
     err = capsys.readouterr().err
-    assert "cannot identify" in err and "residuals < 1e-12 and < 1e-12 " in err
+    assert "cannot identify" in err and "records equally well reach states of infidelity " in err
     assert all(int(e) <= 12 for e in re.findall(r"\de-(\d+)", err))
-    if fidelity:
-        assert f"fidelity {fidelity};" in err
+    if infidelity:
+        assert f"infidelity {infidelity};" in err
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
@@ -318,6 +318,22 @@ def test_validate_catches_broken_evaluator(monkeypatch):
     assert not rep["two_impurity_closed_form"]["passed"]
     others = {k: v for k, v in rep.items() if k != "two_impurity_closed_form"}
     assert all(s["passed"] for s in others.values())
+
+
+def test_validate_fails_a_suite_that_raises(monkeypatch, capsys):
+    # A collision that breaks trace preservation by 1e-11 trips the engine's
+    # own guard before the suite can compare; the suite fails, and validate
+    # exits 2 with a report, not a traceback.
+    channel = cli.eng.reflection_channel
+    monkeypatch.setattr(cli.eng, "reflection_channel",
+                        lambda params, phase: channel(params, phase) * (1.0 + 5e-12))
+    rep = cli.run_validation()
+    broken = rep["engine_trace_preservation"]
+    assert broken["passed"] is False and broken["max_error"] is None
+    assert broken["threshold"] == 1e-12 and "trace preservation" in broken["error"]
+    assert all(s["passed"] for k, s in rep.items() if k != "engine_trace_preservation")
+    assert run(["validate"]) == 2
+    assert json.loads(capsys.readouterr().out) == rep
 
 
 def test_repeated_main_calls_match_separate_runs(tmp_path, capsys):

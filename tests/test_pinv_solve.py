@@ -85,7 +85,7 @@ def test_tall_weighted_designs_are_lstsq_bit_for_bit(cols, extra, log_cond, seed
 def test_pure_state_design_stays_lstsq_bit_for_bit(omega, kd, seed, shots):
     plan = tomo.plan_standard("pure_state", ScatterParams(omega, kd))
     records = tomo.run_plan(plan, random_density(4, np.random.default_rng(seed)), shots, seed)
-    a, b, _, _, _, pinv = tomo._design(plan.settings)
+    a, b, _, _, _, pinv, _ = tomo._design(plan.settings)
     y = np.array([r.observed_value for r in records]) - b
     w = np.ones(len(records)) if shots == 0 else np.array(
         [1.0 / r.standard_error for r in records])
@@ -185,7 +185,7 @@ def test_each_design_builds_one_read_only_pseudo_inverse(mode, designs):
     assert after.hits - before.hits == 4 * designs
     for target in {tomo._target(s) for s in plan.settings}:
         settings = tuple(s for s in plan.settings if tomo._target(s) == target)
-        a, _, _, _, _, pinv = tomo._design(settings)
+        a, _, _, _, _, pinv, _ = tomo._design(settings)
         assert not pinv.flags.writeable
         assert pinv.shape == a.shape[::-1]
         assert pinv.tobytes() == np.linalg.pinv(a, rtol=None).tobytes()

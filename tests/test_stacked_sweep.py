@@ -7,7 +7,7 @@ the scalar qubit_block/embed_block/cascade or frozen_block/cascade path.
 """
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -30,6 +30,7 @@ from spintomo.scatter import (
     transmitted_polarization,
     two_impurity_block,
     two_impurity_cascade,
+    _zero_phase_omega_squared,
 )
 
 GRID_ATOL = 1e-15
@@ -85,6 +86,7 @@ def test_stacked_theta_grid_matches_points(omega, kd, thetas):
 
 
 @given(omegas, st.lists(st.floats(0.0, np.pi), min_size=1, max_size=12), seeds)
+@example([0.5, 0.8483837238129177], [0.3], 0)
 def test_closed_forms_on_grids_equal_points(grid, thetas, seed):
     rng = np.random.default_rng(seed)
     rho = random_density(4, rng)
@@ -103,6 +105,14 @@ def test_closed_forms_on_grids_equal_points(grid, thetas, seed):
     pair = frozen_pair_pt(ScatterParams(grid[0], 0.0), np.array(thetas))
     assert_array_equal(pair, [frozen_pair_pt(ScatterParams(grid[0], 0.0), th)
                               for th in thetas])
+
+
+def test_closed_forms_square_omega_correctly_rounded():
+    # C pow rounds 0.8483837238129177 ** 2 to 0.719754942830673; the
+    # correctly rounded square is 0.7197549428306731.
+    w = 0.8483837238129177
+    assert _zero_phase_omega_squared(ScatterParams(w)) == w * w == 0.7197549428306731
+    assert_array_equal(_zero_phase_omega_squared(ScatterParams([w, 2.0])), [w * w, 4.0])
 
 
 def test_cached_block_is_the_one_point_grid():
