@@ -10,9 +10,11 @@ design).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
+from contextlib import contextmanager
 from functools import cache
 
 import numpy as np
@@ -117,11 +119,19 @@ def _finite_values(name: str, arg: str, fields: str) -> list:
 
 
 def parse_state(source: str, dim: int = 4) -> DensityMatrix:
-    """A density matrix from a generator string or a JSON file path.
+    """A density matrix of dimension dim from a generator string or a JSON
+    file path; a state of another dimension is a usage error.
 
     Generators: singlet, triplet00, mixed, werner:p, random:seed,
     pure:a1,a2,a3,a4,th1,th2,th4, bloch:x,y,z (one qubit).
     """
+    rho = _read_state(source, dim)
+    if rho.dim != dim:
+        raise UsageError(f"state {source!r} has dimension {rho.dim}, expected {dim}")
+    return rho
+
+
+def _read_state(source: str, dim: int) -> DensityMatrix:
     name, _, arg = source.partition(":")
     if name == "singlet":
         return singlet()
@@ -157,6 +167,8 @@ def parse_state(source: str, dim: int = 4) -> DensityMatrix:
         return load_density(source)
     except FileNotFoundError:
         raise UsageError(f"unknown state generator or missing file: {source!r}") from None
+    except OSError as exc:
+        raise UsageError(f"cannot read state file {source!r}: {exc.strerror}") from None
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise InvalidStateError(f"malformed state file {source!r}: {exc}") from None
 
@@ -166,8 +178,17 @@ def _write_lines(path, lines) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
+        with _output(path), open(path, "w") as fh:
             fh.write(text)
+
+
+@contextmanager
+def _output(path):
+    """Report an output path that cannot be written as a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
 def _slices(*columns):
@@ -187,17 +208,12 @@ def _rows(*columns) -> list:
 
 
 def cmd_sweep(args) -> int:
-    ranged = [name for name in ("omega_range", "theta_range", "kd_range")
-              if getattr(args, name) is not None]
-    if len(ranged) != 1:
-        raise UsageError("exactly one of --omega-range/--theta-range/--kd-range is required")
-    axis = ranged[0]
     kd = args.kd
 
     # A point that fails a check refuses the whole grid before any line is
     # written.
     unpolarized = maximally_mixed(2)
-    if axis == "theta_range":
+    if args.theta_range is not None:
         if args.omega is None:
             raise UsageError("--theta-range sweeps need --omega")
         thetas = parse_range(args.theta_range)
@@ -214,9 +230,7 @@ def cmd_sweep(args) -> int:
         if args.state is None:
             raise UsageError("state sweeps need --state")
         rho = parse_state(args.state)
-        if rho.dim != 4:
-            raise UsageError("sweeps expect a two-qubit state")
-        if axis == "omega_range":
+        if args.omega_range is not None:
             omegas, kds = parse_range(args.omega_range), kd
         else:
             if args.omega is None:
@@ -237,8 +251,6 @@ def _tomo_report(args) -> dict:
     params = ScatterParams(args.omega, args.kd)
     truth_dim = 2 if args.mode == "single_qubit_ancilla" else 4
     truth = parse_state(args.state, dim=truth_dim)
-    if truth.dim != truth_dim:
-        raise UsageError(f"mode {args.mode} expects a dim-{truth_dim} state")
     plan = tomo.plan_standard(args.mode, params)
     records = tomo.run_plan(plan, truth, args.shots, args.seed)
     report = {
@@ -268,11 +280,7 @@ def _tomo_report(args) -> dict:
     else:  # pure_state
         fit = tomo.reconstruct_pure(records)
         est = fit.params.density()
-        report["pure_params"] = {
-            "a1": fit.params.a1, "a2": fit.params.a2,
-            "a3": fit.params.a3, "a4": fit.params.a4,
-            "th1": fit.params.th1, "th2": fit.params.th2, "th4": fit.params.th4,
-        }
+        report["pure_params"] = dataclasses.asdict(fit.params)
         report["residual"] = fit.residual
         report["branch_gap"] = fit.branch_gap
         report["unconstrained"] = list(fit.unconstrained)
@@ -283,10 +291,6 @@ def _tomo_report(args) -> dict:
 
 
 def cmd_tomo(args) -> int:
-    if args.mode not in tomo.MODES:
-        raise UsageError(f"--mode must be one of {', '.join(tomo.MODES)}")
-    if args.state is None:
-        raise UsageError("--state is required")
     if not 0 <= args.shots < 2**63:
         raise UsageError("--shots must be nonnegative and below 2**63")
     if args.shots > 0 and args.seed is None:
@@ -301,11 +305,10 @@ def cmd_engine(args) -> int:
     config = eng.EngineConfig(params=params, mirror_phase=args.mirror_phase,
                               max_iters=args.max_iters, tol=args.tol)
     initial = maximally_mixed(2) if args.state is None else parse_state(args.state, dim=2)
-    if initial.dim != 2:
-        raise UsageError("engine initial state must be one qubit")
     trace = eng.run_cycle(initial, config)
     if args.out is not None:
-        trace.to_csv(args.out)
+        with _output(args.out):
+            trace.to_csv(args.out)
     summary = (f"fm_iterations={trace.fm_iterations} "
                f"fm_converged={trace.fm_converged} "
                f"fm_residual={_fmt(trace.fm_residual)} "
@@ -430,7 +433,8 @@ def run_validation(seed: int = 7042) -> dict:
     """Run every invariant suite with fixed seeds; returns per-suite results.
 
     A suite that raises RuntimeError or ValueError (a numerical guard, say)
-    fails with max_error None and the exception's text as its error.
+    fails with max_error None and the exception's text as its error.  A
+    seed numpy refuses raises ValueError before any suite runs.
     """
     suites = {
         "frozen_unitarity": (_suite_frozen_unitarity, 1e-12),
@@ -442,10 +446,11 @@ def run_validation(seed: int = 7042) -> dict:
         "engine_trace_preservation": (_suite_engine_trace, 1e-12),
         "tomography_roundtrip": (_suite_tomo_roundtrip, 1e-9),
     }
+    seed_seq = np.random.SeedSequence(seed)
     report = {}
     for name, (suite, threshold) in suites.items():
         try:
-            err = float(suite(np.random.default_rng(seed)))
+            err = float(suite(np.random.default_rng(seed_seq)))
         except (RuntimeError, ValueError) as exc:
             report[name] = {"passed": False, "max_error": None,
                             "threshold": threshold, "error": str(exc)}
@@ -455,7 +460,7 @@ def run_validation(seed: int = 7042) -> dict:
 
 
 def cmd_validate(args) -> int:
-    report = run_validation(seed=args.seed if args.seed is not None else 7042)
+    report = run_validation() if args.seed is None else run_validation(args.seed)
     _write_lines(args.out, [json.dumps(report, indent=2, sort_keys=True)])
     return EXIT_OK if all(s["passed"] for s in report.values()) else EXIT_VALIDATION
 
@@ -466,18 +471,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="transmission sweep to CSV")
+    axis = sweep.add_mutually_exclusive_group(required=True)
     sweep.add_argument("--omega", type=float, default=None)
-    sweep.add_argument("--omega-range", default=None, metavar="A:B:STEP")
-    sweep.add_argument("--theta-range", default=None, metavar="A:B:STEP")
+    axis.add_argument("--omega-range", default=None, metavar="A:B:STEP")
+    axis.add_argument("--theta-range", default=None, metavar="A:B:STEP")
     sweep.add_argument("--kd", type=float, default=0.0)
-    sweep.add_argument("--kd-range", default=None, metavar="A:B:STEP")
+    axis.add_argument("--kd-range", default=None, metavar="A:B:STEP")
     sweep.add_argument("--state", default=None)
     sweep.add_argument("--out", default=None)
     sweep.set_defaults(func=cmd_sweep)
 
     tm = sub.add_parser("tomo", help="tomography experiment to JSON")
-    tm.add_argument("--mode", required=True)
-    tm.add_argument("--state", default=None)
+    tm.add_argument("--mode", required=True, choices=tomo.MODES)
+    tm.add_argument("--state", required=True)
     tm.add_argument("--omega", type=float, default=1.0)
     tm.add_argument("--kd", type=float, default=0.0)
     tm.add_argument("--shots", type=int, default=0)
@@ -488,8 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     en = sub.add_parser("engine", help="polarization/depolarization cycle")
     en.add_argument("--omega", type=float, required=True)
     en.add_argument("--mirror-phase", type=float, default=eng.DEFAULT_MIRROR_PHASE)
-    en.add_argument("--max-iters", type=int, default=500)
-    en.add_argument("--tol", type=float, default=1e-9)
+    en.add_argument("--max-iters", type=int, default=eng.EngineConfig.max_iters)
+    en.add_argument("--tol", type=float, default=eng.EngineConfig.tol)
     en.add_argument("--state", default=None)
     en.add_argument("--out", default=None)
     en.set_defaults(func=cmd_engine)

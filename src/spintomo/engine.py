@@ -229,7 +229,10 @@ def run_cycle(initial: DensityMatrix, config: EngineConfig,
     depolarize against the NM reservoir.
 
     Entropy transferred is the entropy gained during the NM phase,
-    S(end of NM) - S(end of FM); at most ln 2 per cycle.
+    S(end of NM) - S(end of FM); at most ln 2 per cycle.  PSD_TOL lets a
+    state's Bloch vector exceed unit length by about 2e-10, more than the
+    collisions' guard allows; such a start is scaled onto the unit sphere
+    before the first collision, and row 0 keeps the state as given.
     """
     fm = Reservoir(kind="polarized", axis=np.asarray(fm_axis, dtype=float))
     nm = Reservoir(kind="unpolarized")
@@ -237,8 +240,11 @@ def run_cycle(initial: DensityMatrix, config: EngineConfig,
 
     start = bloch(initial)
     steps.append(CycleStep(0, "FM", start, von_neumann_entropy(initial)))
-    v, fm_iters, fm_ok, fm_resid = _run_phase(
-        start.as_array(), fm, fm.axis, config, "FM", steps)
+    v = start.as_array()
+    norm = math.hypot(*start)
+    if norm > 1.0 + BLOCH_BALL_TOL:
+        v = v / norm
+    v, fm_iters, fm_ok, fm_resid = _run_phase(v, fm, fm.axis, config, "FM", steps)
     s_fm_end = steps[-1].entropy_nats
 
     v, nm_iters, nm_ok, nm_resid = _run_phase(

@@ -84,6 +84,46 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
+def test_flag_rules_are_usage_errors(capsys):
+    assert run(["sweep", "--omega-range", "0:1:0.5", "--kd-range", "0:1:0.5",
+                "--omega", "1", "--state", "singlet"]) == 1
+    assert run(["tomo", "--mode", "two_qubit_gates"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("usage error: ") == 2
+
+
+@pytest.mark.parametrize("argv, state, dim, expected", [
+    (["tomo", "--mode", "single_qubit_ancilla"], "singlet", 4, 2),
+    (["tomo", "--mode", "pure_state"], "bloch:0,0,1", 2, 4),
+    (["sweep", "--omega-range", "0.1:0.2:0.1"], "bloch:0,0,1", 2, 4),
+    (["engine", "--omega", "1"], "werner:0.5", 4, 2),
+])
+def test_state_of_the_wrong_dimension_exit_1(capsys, argv, state, dim, expected):
+    assert run([*argv, "--state", state]) == 1
+    assert capsys.readouterr() == (
+        "", f"usage error: state {state!r} has dimension {dim}, expected {expected}\n")
+
+
+def test_unreadable_state_path_exit_1(tmp_path, capsys):
+    assert run(["sweep", "--omega-range", "0.1:0.3:0.1", "--state", str(tmp_path)]) == 1
+    assert capsys.readouterr() == (
+        "", f"usage error: cannot read state file {str(tmp_path)!r}: Is a directory\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--omega-range", "0.1:0.2:0.1", "--state", "singlet"],
+    ["tomo", "--mode", "two_qubit_gates", "--state", "singlet"],
+    ["validate"],
+    ["engine", "--omega", "1"],
+])
+def test_unwritable_out_exit_1(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "out.csv"
+    assert run([*argv, "--out", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", f"usage error: cannot write {str(path)!r}: No such file or directory\n")
+    assert not path.parent.exists()
+
+
 def test_negative_shots_exit_1(capsys):
     assert run(["tomo", "--mode", "two_qubit_gates", "--state", "singlet",
                 "--shots", "-5", "--seed", "1"]) == 1
@@ -295,6 +335,15 @@ def test_engine_deterministic(capsys):
     assert s1 == s2
 
 
+def test_engine_runs_every_start_the_state_check_accepts(capsys):
+    # The state check allows a Bloch norm up to about 1 + 2e-10; the cycle
+    # starts its collisions from that vector scaled onto the unit sphere.
+    assert run(["engine", "--omega", "0.9", "--mirror-phase", "1.0",
+                "--state", "bloch:0,0,1.0000000001"]) == 0
+    fields = dict(kv.split("=") for kv in capsys.readouterr().out.split())
+    assert fields["fm_converged"] == fields["nm_converged"] == "True"
+
+
 def test_validate_passes(tmp_path):
     out = tmp_path / "val.json"
     assert run(["validate", "--out", str(out)]) == 0
@@ -334,6 +383,15 @@ def test_validate_fails_a_suite_that_raises(monkeypatch, capsys):
     assert all(s["passed"] for k, s in rep.items() if k != "engine_trace_preservation")
     assert run(["validate"]) == 2
     assert json.loads(capsys.readouterr().out) == rep
+
+
+def test_validate_refuses_a_negative_seed(capsys):
+    # numpy refuses the seed once, before any suite runs, so no suite
+    # reports it as its own failure.
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        cli.run_validation(-1)
+    assert run(["validate", "--seed", "-1"]) == 2
+    assert capsys.readouterr() == ("", "validation error: expected non-negative integer\n")
 
 
 def test_repeated_main_calls_match_separate_runs(tmp_path, capsys):

@@ -157,6 +157,26 @@ def test_run_cycle_deterministic():
     assert [s.bloch for s in t1.steps] == [s.bloch for s in t2.steps]
 
 
+@pytest.mark.parametrize("v, scaled", [
+    ((0.0, 0.0, 1.0 + 1e-10), True),
+    ((0.6 * (1.0 + 1.5e-10), 0.0, 0.8 * (1.0 + 1.5e-10)), True),
+    ((0.0, 0.0, 1.0 + 5e-13), False),
+])
+def test_run_cycle_scales_a_start_beyond_the_guard_onto_the_sphere(v, scaled):
+    # A valid state may reach a Bloch norm of about 1 + 2e-10, past the
+    # collisions' 1 + BLOCH_BALL_TOL: such a start is scaled onto the unit
+    # sphere, one within the slack runs as given, and row 0 keeps the state.
+    config = _config(0.9, 1.0)
+    rho = bloch_density(v)
+    start = bloch(rho)
+    assert (start.norm() > 1.0 + eng.BLOCH_BALL_TOL) == scaled
+    trace = eng.run_cycle(rho, config)
+    assert trace.steps[0].bloch == start
+    first = start.as_array() / start.norm() if scaled else start.as_array()
+    m, c = eng.bloch_map(eng.Reservoir("polarized"), config)
+    assert_allclose(trace.steps[1].bloch, m @ first + c, rtol=0, atol=1e-15)
+
+
 def test_cycle_steps_are_immutable():
     trace = eng.run_cycle(maximally_mixed(2), _config(0.6, max_iters=5))
     for step in trace.steps:

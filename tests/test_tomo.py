@@ -22,6 +22,7 @@ from spintomo.qmat import (
     partial_trace,
     random_density,
     random_ket,
+    random_unitary,
     singlet,
     trace_distance,
     werner,
@@ -307,6 +308,23 @@ def test_psd_repair_properties():
         if moved:
             with pytest.raises(InvalidStateError):
                 DensityMatrix(mat)
+
+
+def test_psd_repair_distance_matches_the_difference_spectrum():
+    # mat - repaired shares mat's eigenvectors, so the distance is read off
+    # the eigenvalues already computed; the spectrum of the difference is
+    # the oracle.
+    rng = np.random.default_rng(50)
+    for _ in range(200):
+        evals = rng.normal(0.25, 0.3, size=4)
+        evals += (1.0 - evals.sum()) / 4
+        u = random_unitary(4, rng)
+        h = (u * evals) @ u.conj().T
+        h = 0.5 * (h + h.conj().T)
+        repaired, dist, min_eig = tomo._psd_repair(h)
+        oracle = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(h - repaired)))
+        assert abs(dist - oracle) < 1e-12
+        assert (dist > 0.0) == (min_eig < PSD_TOL)
 
 
 def test_noisy_reconstruction_is_physical():
