@@ -32,6 +32,7 @@ from .qmat import (
     maximally_mixed,
     partial_trace,
     random_density,
+    random_unitary,
     singlet,
     trace_distance,
     werner,
@@ -45,6 +46,7 @@ from .scatter import (
     frozen_pair_pt,
     full_input_state,
     pt_unpolarized_closed_form,
+    qubit_t_single,
     transmission_probability,
     two_impurity_block,
     two_impurity_cascade,
@@ -320,36 +322,30 @@ def cmd_engine(args) -> int:
     return EXIT_OK
 
 
-# Validation suites.  Each returns its max observed error; a suite passes
-# when the error stays below its threshold in run_validation's table.
+# Validation suites.  Each yields one error per case it checks; run_validation
+# judges the largest against the suite's threshold.
 
-def _suite_frozen_unitarity(rng) -> float:
-    worst = 0.0
+def _suite_frozen_unitarity(rng):
     for _ in range(50):
         om = rng.uniform(0.05, 3.0)
         n = rng.normal(size=3)
         spin = FrozenSpin(n / np.linalg.norm(n))
         t = frozen_block(ScatterParams(om, 0.0), spin).t
-        worst = max(worst, float(np.max(np.abs(
-            t.conj().T @ t - np.eye(2) / (1.0 + om * om)))))
-    return worst
+        yield np.max(np.abs(t.conj().T @ t - np.eye(2) / (1.0 + om * om)))
 
 
-def _suite_frozen_pair(rng) -> float:
-    worst = 0.0
+def _suite_frozen_pair(rng):
+    # One stacked cascade per omega, as sweep --theta-range runs it.
+    thetas = np.linspace(0.0, np.pi, 10)
     for om in np.linspace(0.1, 3.0, 10):
-        for th in np.linspace(0.0, np.pi, 10):
-            params = ScatterParams(om, 0.0)
-            b = cascade(frozen_block(params, FrozenSpin.from_angles(0.0)),
-                        frozen_block(params, FrozenSpin.from_angles(th)), params)
-            pt = transmission_probability(b, maximally_mixed(2))
-            worst = max(worst, abs(pt - frozen_pair_pt(params, th)))
-    return worst
+        params = ScatterParams(om, 0.0)
+        b = cascade(frozen_block(params, FrozenSpin.from_angles(0.0)),
+                    frozen_block(params, FrozenSpin.from_angles(thetas)), params)
+        pt = transmission_probability(b, maximally_mixed(2))
+        yield from np.abs(pt - frozen_pair_pt(params, thetas))
 
 
-def _suite_single_impurity(rng) -> float:
-    from .scatter import qubit_t_single
-    worst = 0.0
+def _suite_single_impurity(rng):
     for _ in range(10):
         om = rng.uniform(0.05, 3.0)
         t = qubit_t_single(ScatterParams(om, 0.0))
@@ -360,12 +356,10 @@ def _suite_single_impurity(rng) -> float:
             [0, 2.0 * om / d, (om + 1j) / d, 0],
             [0, 0, 0, 1],
         ], dtype=complex) / (1.0 + 1j * om)
-        worst = max(worst, float(np.max(np.abs(t - expected))))
-    return worst
+        yield np.max(np.abs(t - expected))
 
 
-def _suite_two_impurity(rng) -> float:
-    worst = 0.0
+def _suite_two_impurity(rng):
     flying = maximally_mixed(2)
     for _ in range(50):
         om = rng.uniform(0.05, 3.0)
@@ -373,13 +367,10 @@ def _suite_two_impurity(rng) -> float:
         rho = random_density(4, rng)
         block = two_impurity_block(params)
         pt = transmission_probability(block, full_input_state(flying, rho))
-        worst = max(worst, abs(pt - pt_unpolarized_closed_form(params, rho)))
-    return worst
+        yield abs(pt - pt_unpolarized_closed_form(params, rho))
 
 
-def _suite_basis_invariance(rng) -> float:
-    from .qmat import random_unitary
-    worst = 0.0
+def _suite_basis_invariance(rng):
     flying = maximally_mixed(2)
     for _ in range(10):
         om = rng.uniform(0.1, 2.0)
@@ -393,48 +384,42 @@ def _suite_basis_invariance(rng) -> float:
         p1 = transmission_probability(block, full_input_state(flying, rho))
         p2 = transmission_probability(block, DensityMatrix(np.kron(
             (u @ flying.mat @ u.conj().T), rho_rot.mat)))
-        worst = max(worst, abs(p1 - p2))
-    return worst
+        yield abs(p1 - p2)
 
 
-def _suite_plan_rank(rng) -> float:
-    worst = 0.0
+def _suite_plan_rank(rng):
     for mode in ("two_qubit_gates", "two_qubit_polarized"):
-        plan = tomo.plan_standard(mode, ScatterParams(1.0, 0.0))
-        rank, cond = tomo._design(plan.settings)[3:5]
-        worst = max(worst, float(15 - rank), cond / 1e4)
-    return worst
+        a, _ = tomo.build_design_matrix(tomo.plan_standard(mode, ScatterParams(1.0, 0.0)))
+        yield 15 - np.linalg.matrix_rank(a)
+        yield np.linalg.cond(a) / 1e4
 
 
-def _suite_engine_trace(rng) -> float:
-    worst = 0.0
+def _suite_engine_trace(rng):
     reservoir = eng.Reservoir("polarized")
     for _ in range(10):
         om = rng.uniform(0.1, 2.0)
         config = eng.EngineConfig(params=ScatterParams(om, 0.0))
         rho = random_density(2, rng)
         out = eng.interact_once(rho, reservoir, config)
-        worst = max(worst, abs(float(np.trace(out.mat).real) - 1.0))
-    return worst
+        yield abs(np.trace(out.mat).real - 1.0)
 
 
-def _suite_tomo_roundtrip(rng) -> float:
+def _suite_tomo_roundtrip(rng):
     plan = tomo.plan_standard("two_qubit_gates", ScatterParams(1.0, 0.0))
-    worst = 0.0
     for _ in range(5):
         rho = random_density(4, rng)
         recs = tomo.run_plan(plan, rho, 0)
         est, _, _ = tomo.reconstruct_two_qubit(recs, plan)
-        worst = max(worst, trace_distance(rho, est))
-    return worst
+        yield trace_distance(rho, est)
 
 
 def run_validation(seed: int = 7042) -> dict:
     """Run every invariant suite with fixed seeds; returns per-suite results.
 
-    A suite that raises RuntimeError or ValueError (a numerical guard, say)
-    fails with max_error None and the exception's text as its error.  A
-    seed numpy refuses raises ValueError before any suite runs.
+    A suite fails with max_error None and the reason as its error when a
+    case's error is NaN or inf, or when the suite raises RuntimeError or
+    ValueError (a numerical guard, say).  A seed numpy refuses raises
+    ValueError before any suite runs.
     """
     suites = {
         "frozen_unitarity": (_suite_frozen_unitarity, 1e-12),
@@ -450,7 +435,10 @@ def run_validation(seed: int = 7042) -> dict:
     report = {}
     for name, (suite, threshold) in suites.items():
         try:
-            err = float(suite(np.random.default_rng(seed_seq)))
+            # np.max propagates a NaN from any case.
+            err = float(np.max(np.fromiter(suite(np.random.default_rng(seed_seq)), float)))
+            if not math.isfinite(err):
+                raise ValueError(f"a case's error is {err}")
         except (RuntimeError, ValueError) as exc:
             report[name] = {"passed": False, "max_error": None,
                             "threshold": threshold, "error": str(exc)}
@@ -471,12 +459,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="transmission sweep to CSV")
+    # argparse prints a group as (a | b | c) only when its flags are adjacent.
     axis = sweep.add_mutually_exclusive_group(required=True)
-    sweep.add_argument("--omega", type=float, default=None)
     axis.add_argument("--omega-range", default=None, metavar="A:B:STEP")
     axis.add_argument("--theta-range", default=None, metavar="A:B:STEP")
-    sweep.add_argument("--kd", type=float, default=0.0)
     axis.add_argument("--kd-range", default=None, metavar="A:B:STEP")
+    sweep.add_argument("--omega", type=float, default=None)
+    sweep.add_argument("--kd", type=float, default=0.0)
     sweep.add_argument("--state", default=None)
     sweep.add_argument("--out", default=None)
     sweep.set_defaults(func=cmd_sweep)

@@ -41,7 +41,6 @@ from .qmat import (
     pauli,
     polarized_qubit,
     unit_axis,
-    von_neumann_entropy,
 )
 from .scatter import ScatterParams, qubit_block
 
@@ -99,6 +98,10 @@ class EngineConfig:
             raise ValueError("max_iters must be at least 1")
         if not self.tol > 0:  # NaN fails too
             raise ValueError("tol must be positive")
+        # One impurity's block has no kd; the mirror's distance is mirror_phase.
+        if np.any(np.asarray(self.params.kd_phase) != 0):
+            raise ValueError("params.kd_phase must be 0; set the mirror's "
+                             "distance with mirror_phase")
 
 
 @lru_cache(maxsize=REFLECTION_CACHE_SIZE)
@@ -164,7 +167,9 @@ def bloch_map(reservoir: Reservoir, config: EngineConfig) -> tuple:
 
 def _entropy_of_bloch_norm(norm: float) -> float:
     """von Neumann entropy (nats) of a qubit whose Bloch vector has this norm:
-    its eigenvalues are (1 -+ norm) / 2."""
+    its eigenvalues are (1 -+ norm) / 2.  A norm the guards let past 1 is
+    read as 1, so the entropy is never negative."""
+    norm = min(norm, 1.0)
     entropy = 0.0
     for p in (0.5 * (1.0 - norm), 0.5 * (1.0 + norm)):
         if p > ENTROPY_EIGENVALUE_FLOOR:
@@ -239,9 +244,9 @@ def run_cycle(initial: DensityMatrix, config: EngineConfig,
     steps: list = []
 
     start = bloch(initial)
-    steps.append(CycleStep(0, "FM", start, von_neumann_entropy(initial)))
-    v = start.as_array()
     norm = math.hypot(*start)
+    steps.append(CycleStep(0, "FM", start, _entropy_of_bloch_norm(norm)))
+    v = start.as_array()
     if norm > 1.0 + BLOCH_BALL_TOL:
         v = v / norm
     v, fm_iters, fm_ok, fm_resid = _run_phase(v, fm, fm.axis, config, "FM", steps)

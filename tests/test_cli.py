@@ -92,6 +92,15 @@ def test_flag_rules_are_usage_errors(capsys):
     assert out == "" and err.count("usage error: ") == 2
 
 
+def test_sweep_usage_shows_the_required_range_group(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "--help"])
+    assert exc.value.code == 0
+    usage = " ".join(capsys.readouterr().out.split("\n\n")[0].split())
+    assert ("(--omega-range A:B:STEP | --theta-range A:B:STEP | --kd-range A:B:STEP)"
+            in usage)
+
+
 @pytest.mark.parametrize("argv, state, dim, expected", [
     (["tomo", "--mode", "single_qubit_ancilla"], "singlet", 4, 2),
     (["tomo", "--mode", "pure_state"], "bloch:0,0,1", 2, 4),
@@ -383,6 +392,35 @@ def test_validate_fails_a_suite_that_raises(monkeypatch, capsys):
     assert all(s["passed"] for k, s in rep.items() if k != "engine_trace_preservation")
     assert run(["validate"]) == 2
     assert json.loads(capsys.readouterr().out) == rep
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_fails_a_suite_with_a_non_finite_error(monkeypatch, capsys, bad):
+    # One middle case of the suite's 50 gives NaN (or inf): the suite fails
+    # with max_error None, whatever the other cases give, and the report
+    # stays strict JSON.
+    closed_form = cli.pt_unpolarized_closed_form
+    calls = []
+
+    def broken(params, rho):
+        calls.append(None)
+        return bad if len(calls) == 25 else closed_form(params, rho)
+
+    monkeypatch.setattr(cli, "pt_unpolarized_closed_form", broken)
+    rep = cli.run_validation()
+    failed = rep["two_impurity_closed_form"]
+    assert failed["passed"] is False and failed["max_error"] is None
+    assert str(bad) in failed["error"]
+    assert all(s["passed"] for k, s in rep.items() if k != "two_impurity_closed_form")
+    calls.clear()
+    assert run(["validate"]) == 2
+    assert _strict_json(capsys.readouterr().out) == rep
 
 
 def test_validate_refuses_a_negative_seed(capsys):

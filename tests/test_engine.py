@@ -40,6 +40,12 @@ def test_config_validation():
         eng.EngineConfig(params=ScatterParams(1.0), tol=float("nan"))
     with pytest.raises(ValueError):
         eng.EngineConfig(params=ScatterParams(1.0), mirror_phase=np.inf)
+    # One impurity's block ignores kd_phase, so a nonzero one is refused
+    # rather than dropped; the mirror's distance is mirror_phase.
+    for kd in (1.3, -1e-300, [0.0, 0.5]):
+        with pytest.raises(ValueError, match="mirror_phase"):
+            eng.EngineConfig(params=ScatterParams(0.9, kd))
+    eng.EngineConfig(params=ScatterParams([0.9, 1.1], [0.0, -0.0]))
 
 
 def test_reflection_channel_unitary():
@@ -177,6 +183,23 @@ def test_run_cycle_scales_a_start_beyond_the_guard_onto_the_sphere(v, scaled):
     assert_allclose(trace.steps[1].bloch, m @ first + c, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_entropy_is_never_negative_and_transfer_at_most_ln2(seed):
+    # Pure and partly mixed starts, whose FM steps can reach a Bloch norm an
+    # ulp or so past 1: every row reads the clamped norm, so no entropy is
+    # negative or -0.0, and the NM phase gains at most ln 2.
+    rng = np.random.default_rng(seed)
+    starts = [polarized_qubit("z"), bloch_density([0.3, -0.2, 0.5])]
+    starts += [bloch_density(rng.uniform(0.0, 1.0) * _unit(rng)) for _ in range(20)]
+    starts += [polarized_qubit(_unit(rng)) for _ in range(5)]
+    for start in starts:
+        trace = eng.run_cycle(start, _config(rng.uniform(0.1, 2.0),
+                                             phase=rng.uniform(0.35, np.pi - 0.35)))
+        entropies = np.array([s.entropy_nats for s in trace.steps])
+        assert not np.signbit(entropies).any()
+        assert trace.entropy_transferred_nats <= np.log(2.0)
+
+
 def test_cycle_steps_are_immutable():
     trace = eng.run_cycle(maximally_mixed(2), _config(0.6, max_iters=5))
     for step in trace.steps:
@@ -216,7 +239,7 @@ def reference_to_csv(trace, path):
 def test_trace_csv_bytes_equal_the_csv_module(tmp_path, seed):
     # Seeded cycles from pure, mixed and random starts, at both sides of the
     # quarter-wave point and at the inert mirror phase 0.  A pure start opens
-    # with a -0 entropy row.
+    # with a 0 entropy row.
     rng = np.random.default_rng(seed)
     starts = [polarized_qubit(_unit(rng)), maximally_mixed(2), random_density(2, rng),
               bloch_density(0.5 * _unit(rng))]
@@ -234,7 +257,7 @@ def test_trace_csv_bytes_equal_the_csv_module(tmp_path, seed):
     pure.to_csv(got)
     reference_to_csv(pure, want)
     assert got.read_bytes() == want.read_bytes()
-    assert got.read_bytes().split(b"\r\n")[1] == b"0,FM,0,0,1,-0"
+    assert got.read_bytes().split(b"\r\n")[1] == b"0,FM,0,0,1,0"
 
 
 def test_engine_guards_refuse_nan(monkeypatch):
