@@ -24,6 +24,7 @@ from . import tomo
 from .qmat import (
     DensityMatrix,
     InvalidStateError,
+    bloch,
     bloch_density,
     cmatrix_to_json,
     fidelity,
@@ -394,14 +395,19 @@ def _suite_plan_rank(rng):
         yield np.linalg.cond(a) / 1e4
 
 
-def _suite_engine_trace(rng):
-    reservoir = eng.Reservoir("polarized")
+def _suite_engine_bloch_map(rng):
+    # The partial swap's Bloch map against one density-matrix collision.
     for _ in range(10):
-        om = rng.uniform(0.1, 2.0)
-        config = eng.EngineConfig(params=ScatterParams(om, 0.0))
+        config = eng.EngineConfig(params=ScatterParams(rng.uniform(0.1, 2.0), 0.0),
+                                  mirror_phase=rng.uniform(0.0, 2.0 * np.pi))
         rho = random_density(2, rng)
-        out = eng.interact_once(rho, reservoir, config)
-        yield abs(np.trace(out.mat).real - 1.0)
+        v = bloch(rho).as_array()
+        axis = rng.normal(size=3)
+        for reservoir in (eng.Reservoir("polarized", axis=axis / np.linalg.norm(axis)),
+                          eng.Reservoir("unpolarized")):
+            m, c = eng.bloch_map(reservoir, config)
+            out = bloch(eng.interact_once(rho, reservoir, config)).as_array()
+            yield np.max(np.abs(m @ v + c - out))
 
 
 def _suite_tomo_roundtrip(rng):
@@ -428,7 +434,7 @@ def run_validation(seed: int = 7042) -> dict:
         "two_impurity_closed_form": (_suite_two_impurity, 1e-10),
         "basis_invariance": (_suite_basis_invariance, 1e-10),
         "plan_rank_and_conditioning": (_suite_plan_rank, 1.0),
-        "engine_trace_preservation": (_suite_engine_trace, 1e-12),
+        "engine_bloch_map": (_suite_engine_bloch_map, 1e-12),
         "tomography_roundtrip": (_suite_tomo_roundtrip, 1e-9),
     }
     seed_seq = np.random.SeedSequence(seed)

@@ -10,10 +10,11 @@ unpolarized (non-magnetic) reservoir relax it back to the maximally mixed
 state, extracting up to ln 2 of entropy per cycle.
 
 Tracing out the reservoir spin leaves an affine map v -> M v + c on the
-static qubit's Bloch vector; a cycle builds it once per reservoir, checks it
-once (its Choi matrix must be trace preserving and positive semidefinite),
-and then iterates the map.  interact_once is the same collision on density
-matrices, one at a time.
+static qubit's Bloch vector.  Isotropic exchange and a spin-blind mirror make
+R a partial swap a I + b SWAP (Scarani et al., PRL 88, 097905 (2002)), so the
+map is read off a and b; a cycle builds it once per reservoir, checks it once
+(R must have the partial-swap form and |a|^2 + |b|^2 = 1), and then iterates
+the map.  interact_once is the same collision on density matrices.
 
 The mirror contributes m = -exp(i*mirror_phase) * I, where mirror_phase is
 the round-trip propagation phase to the gate.  At mirror_phase = 0 the
@@ -32,13 +33,11 @@ import numpy as np
 
 from .qmat import (
     ENTROPY_EIGENVALUE_FLOOR,
-    PSD_TOL,
     BlochVector,
     DensityMatrix,
     bloch,
     bloch_density,
     maximally_mixed,
-    pauli,
     polarized_qubit,
     unit_axis,
 )
@@ -52,7 +51,8 @@ BLOCH_BALL_TOL = 1e-12
 REFLECTION_CACHE_SIZE = 64
 
 _I4 = np.eye(4, dtype=complex)
-_SIGMA = np.array([pauli(k) for k in range(4)])
+_SWAP = _I4[[0, 2, 1, 3]]
+_LN2 = math.log(2.0)
 
 # The cycle trace's CSV: a header and one row per step, each ending in CRLF.
 # Phase names and integers need no quoting, and every float is printed
@@ -98,8 +98,11 @@ class EngineConfig:
             raise ValueError("max_iters must be at least 1")
         if not self.tol > 0:  # NaN fails too
             raise ValueError("tol must be positive")
+        params = self.params
+        if isinstance(params.omega, np.ndarray) or isinstance(params.kd_phase, np.ndarray):
+            raise ValueError("the engine runs at one (omega, mirror_phase) point, not on a grid")
         # One impurity's block has no kd; the mirror's distance is mirror_phase.
-        if np.any(np.asarray(self.params.kd_phase) != 0):
+        if params.kd_phase != 0:
             raise ValueError("params.kd_phase must be 0; set the mirror's "
                              "distance with mirror_phase")
 
@@ -140,41 +143,45 @@ def interact_once(rho_s: DensityMatrix, reservoir: Reservoir,
     return DensityMatrix(np.einsum("fsft->st", out.reshape(2, 2, 2, 2)))
 
 
-def bloch_map(reservoir: Reservoir, config: EngineConfig) -> tuple:
-    """One collision as the affine map v -> M v + c on the static Bloch vector.
+def partial_swap(params: ScatterParams, mirror_phase: float) -> tuple:
+    """(a, b) of the partial swap R = a I + b SWAP, read off R[1, 1] and R[2, 1];
+    an R farther than TRACE_PRESERVATION_TOL from that form is refused."""
+    r = reflection_channel(params, mirror_phase)
+    a, b = complex(r[1, 1]), complex(r[2, 1])
+    err = np.max(np.abs(r - a * _I4 - b * _SWAP))
+    if not err <= TRACE_PRESERVATION_TOL:
+        raise RuntimeError(f"reflection operator is not a partial swap: deviation {err:.3e}")
+    return a, b
 
-    The channel rho -> Tr_res[R (rho_res (x) rho) R^dag] is built as its Choi
-    matrix J[(a, s), (b, t)] = Phi(|a><b|)[s, t] and checked once: J must be
-    trace preserving (Tr_out J = I) and positive semidefinite (completely
-    positive).  Then M[i, j] = Tr[sigma_i Phi(sigma_j)] / 2 and
-    c[i] = Tr[sigma_i Phi(I)] / 2.  Returns read-only (M, c).
-    """
-    r = reflection_channel(config.params, config.mirror_phase).reshape(2, 2, 2, 2)
-    choi = np.einsum("fsxa,xy,ftyb->asbt", r, reservoir.state().mat, r.conj())
-    tp_err = np.max(np.abs(np.einsum("asbs->ab", choi) - np.eye(2)))
+
+def bloch_map(reservoir: Reservoir, config: EngineConfig) -> tuple:
+    """One collision as the affine map v -> M v + c on the static Bloch vector:
+    the partial swap's v -> |a|^2 v + |b|^2 w + Im(a b*) w x v, with w the
+    reservoir's Bloch vector (Ziman et al., PRA 65, 042105 (2002)).  Its trace,
+    |a|^2 + |b|^2 = 1, is checked once.  Returns read-only (M, c)."""
+    a, b = partial_swap(config.params, config.mirror_phase)
+    tp_err = abs(abs(a) ** 2 + abs(b) ** 2 - 1.0)
     if not tp_err <= TRACE_PRESERVATION_TOL:
         raise RuntimeError(f"collision channel breaks trace preservation by {tp_err:.3e}")
-    min_eig = np.linalg.eigvalsh(choi.reshape(4, 4)).min()
-    if not min_eig >= PSD_TOL:
-        raise RuntimeError(f"collision channel is not completely positive: "
-                           f"Choi eigenvalue {min_eig:.3e}")
-    affine = 0.5 * np.einsum("its,jab,asbt->ij", _SIGMA, _SIGMA, choi).real
-    m, c = affine[1:, 1:], affine[1:, 0]
-    m.flags.writeable = False
-    c.flags.writeable = False
+    w = reservoir.axis if reservoir.kind == "polarized" else np.zeros(3)
+    w_cross = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+    m = abs(a) ** 2 * np.eye(3) + (a * b.conjugate()).imag * w_cross
+    c = abs(b) ** 2 * w
+    m.flags.writeable = c.flags.writeable = False
     return m, c
 
 
 def _entropy_of_bloch_norm(norm: float) -> float:
     """von Neumann entropy (nats) of a qubit whose Bloch vector has this norm:
     its eigenvalues are (1 -+ norm) / 2.  A norm the guards let past 1 is
-    read as 1, so the entropy is never negative."""
+    read as 1, so the entropy is never negative; a sum that rounds past
+    ln 2 at a tiny norm is read as ln 2."""
     norm = min(norm, 1.0)
     entropy = 0.0
     for p in (0.5 * (1.0 - norm), 0.5 * (1.0 + norm)):
         if p > ENTROPY_EIGENVALUE_FLOOR:
             entropy -= p * math.log(p)
-    return entropy
+    return min(entropy, _LN2)
 
 
 class CycleStep(NamedTuple):

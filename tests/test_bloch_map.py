@@ -1,6 +1,9 @@
 """The engine's collision channel as an affine Bloch map v -> M v + c.
 
-run_cycle iterates the map; interact_once stays the density-matrix oracle.
+The reflection operator is a partial swap R = a I + b SWAP; its (a, b) are
+checked against the closed form of the two exchange sectors, and the map
+built from them against interact_once.  run_cycle iterates the map;
+interact_once stays the density-matrix oracle.
 The oracle's reflection operator is unitary only to rounding, so the trace
 of its state drifts by up to a few 1e-14 over hundreds of collisions; its
 Bloch vectors are compared after dividing by that trace.  An entropy is
@@ -8,10 +11,12 @@ compared within the Bloch tolerance times its slope dS/d|v| = atanh|v|,
 which grows to about 18 near a pure state: there the oracle reads the small
 eigenvalue off rho_11, while the map has only 1 - |v|, resolved to 1e-16.
 """
-import types
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spintomo import engine as eng
@@ -42,6 +47,57 @@ def _config(omega, phase=eng.DEFAULT_MIRROR_PHASE, **kw):
 def _reservoirs():
     return (eng.Reservoir("polarized"), eng.Reservoir("unpolarized"),
             eng.Reservoir("polarized", axis=np.array([0.6, 0.0, 0.8])))
+
+
+def sector_partial_swap(omega, phi):
+    """(a, b) from the two exchange sectors: sigma_f . sigma_s is 1 on the
+    triplet and -3 on the singlet, and each sector's impurity-plus-mirror
+    series sums to R_x = r_x - e^{i phi} t_x^2 / (1 + r_x e^{i phi})."""
+    def sector(lam):
+        t = 1.0 / (1.0 + 1j * omega * lam)
+        r = t - 1.0
+        mirror = np.exp(1j * phi)
+        return r - mirror * t * t / (1.0 + r * mirror)
+
+    r_t, r_s = sector(1.0), sector(-3.0)
+    return (r_t + r_s) / 2, (r_t - r_s) / 2
+
+
+@given(st.floats(1e-3, 1e5), st.floats(0.0, 2 * np.pi))
+def test_partial_swap_matches_the_sector_closed_form(omega, phi):
+    a, b = eng.partial_swap(ScatterParams(omega), phi)
+    want_a, want_b = sector_partial_swap(omega, phi)
+    assert abs(a - want_a) <= 1e-14 and abs(b - want_b) <= 1e-14
+    assert abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-13
+    assert abs((a * np.conj(b)).real) <= 1e-13
+
+
+def test_partial_swap_refuses_another_form(monkeypatch):
+    # unitary, but not a I + b SWAP: one basis state picks up its own phase
+    monkeypatch.setattr(eng, "reflection_channel",
+                        lambda params, phase: np.diag([1.0, 1.0, 1.0, 1j]))
+    with pytest.raises(RuntimeError, match="not a partial swap: deviation 1.414e"):
+        eng.partial_swap(ScatterParams(0.8), 1.0)
+
+
+@given(st.floats(0.05, 3.0), st.floats(0.1, np.pi - 0.1))
+def test_iteration_counts_follow_the_swap_rate(omega, phi):
+    # From the mixed start the FM phase moves along the reservoir axis only,
+    # and the distance to its fixed point shrinks by |a|^2 per collision; the
+    # NM phase shrinks |v| by the same factor.
+    config = _config(omega, phase=phi, max_iters=2000)
+    a, _ = eng.partial_swap(config.params, phi)
+    rate = math.log(abs(a) ** 2)
+    trace = eng.run_cycle(maximally_mixed(2), config)
+    fm_iters = math.floor(math.log(2 * config.tol) / rate) + 1
+    if fm_iters > config.max_iters:
+        assert not trace.fm_converged
+        return
+    assert (trace.fm_iterations, trace.fm_converged) == (fm_iters, True)
+    fm_norm = math.hypot(*trace.steps[fm_iters].bloch)
+    nm_iters = math.floor(math.log(2 * config.tol / fm_norm) / rate) + 1
+    if nm_iters <= config.max_iters:
+        assert (trace.nm_iterations, trace.nm_converged) == (nm_iters, True)
 
 
 def test_reservoir_state_built_once():
@@ -136,13 +192,6 @@ def test_map_guards(monkeypatch):
     monkeypatch.setattr(eng, "reflection_channel", lambda params, phase: 0.5 * np.eye(4))
     with pytest.raises(RuntimeError, match="trace preservation"):
         eng.bloch_map(eng.Reservoir("polarized"), config)
-    # a swap hands the reservoir state to the qubit: a negative reservoir
-    # eigenvalue is a negative Choi eigenvalue
-    swap = np.eye(4)[[0, 2, 1, 3]]
-    monkeypatch.setattr(eng, "reflection_channel", lambda params, phase: swap)
-    fake = types.SimpleNamespace(state=lambda: types.SimpleNamespace(mat=np.diag([1.5, -0.5])))
-    with pytest.raises(RuntimeError, match="completely positive"):
-        eng.bloch_map(fake, config)
 
 
 def test_bloch_ball_guard(monkeypatch):

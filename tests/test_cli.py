@@ -353,6 +353,19 @@ def test_engine_runs_every_start_the_state_check_accepts(capsys):
     assert fields["fm_converged"] == fields["nm_converged"] == "True"
 
 
+@pytest.mark.parametrize("omega, phase", [("1.05", None), ("1.8", "1.0"), ("2.35", "2.0")])
+def test_engine_from_a_pure_start_transfers_at_most_ln2(capsys, omega, phase):
+    # Points where the NM phase ends at a tiny Bloch norm whose entropy sum
+    # can round to ln 2 + 1 ulp; the row reads ln 2, so the transfer is at
+    # most ln 2.
+    argv = ["engine", "--omega", omega, "--state", "bloch:0,0,1"]
+    argv += [] if phase is None else ["--mirror-phase", phase]
+    assert run(argv) == 0
+    fields = dict(kv.split("=") for kv in capsys.readouterr().out.split())
+    assert fields["nm_converged"] == "True"
+    assert float(fields["entropy_transferred_nats"]) <= np.log(2.0)
+
+
 def test_validate_passes(tmp_path):
     out = tmp_path / "val.json"
     assert run(["validate", "--out", str(out)]) == 0
@@ -386,10 +399,29 @@ def test_validate_fails_a_suite_that_raises(monkeypatch, capsys):
     monkeypatch.setattr(cli.eng, "reflection_channel",
                         lambda params, phase: channel(params, phase) * (1.0 + 5e-12))
     rep = cli.run_validation()
-    broken = rep["engine_trace_preservation"]
+    broken = rep["engine_bloch_map"]
     assert broken["passed"] is False and broken["max_error"] is None
     assert broken["threshold"] == 1e-12 and "trace preservation" in broken["error"]
-    assert all(s["passed"] for k, s in rep.items() if k != "engine_trace_preservation")
+    assert all(s["passed"] for k, s in rep.items() if k != "engine_bloch_map")
+    assert run(["validate"]) == 2
+    assert json.loads(capsys.readouterr().out) == rep
+
+
+def test_validate_fails_an_engine_map_off_by_its_own_comparison(monkeypatch, capsys):
+    # A Bloch map whose offset is 1e-11 off passes every engine guard; the
+    # suite fails by comparing it with interact_once, with a finite error.
+    bloch_map = cli.eng.bloch_map
+
+    def shifted(reservoir, config):
+        m, c = bloch_map(reservoir, config)
+        return m, c + 1e-11
+
+    monkeypatch.setattr(cli.eng, "bloch_map", shifted)
+    rep = cli.run_validation()
+    broken = rep["engine_bloch_map"]
+    assert broken["passed"] is False and "error" not in broken
+    assert 1e-12 < broken["max_error"] < 2e-11
+    assert all(s["passed"] for k, s in rep.items() if k != "engine_bloch_map")
     assert run(["validate"]) == 2
     assert json.loads(capsys.readouterr().out) == rep
 

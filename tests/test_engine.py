@@ -45,7 +45,20 @@ def test_config_validation():
     for kd in (1.3, -1e-300, [0.0, 0.5]):
         with pytest.raises(ValueError, match="mirror_phase"):
             eng.EngineConfig(params=ScatterParams(0.9, kd))
-    eng.EngineConfig(params=ScatterParams([0.9, 1.1], [0.0, -0.0]))
+
+
+@pytest.mark.parametrize("params", [
+    ScatterParams([0.9, 1.1]),
+    ScatterParams([0.9, 1.1], [0.0, -0.0]),
+    ScatterParams(0.9, [0.0]),
+    ScatterParams(np.array(0.9)),
+])
+def test_config_refuses_grid_params(params):
+    # The engine runs at one point: a grid is refused when the config is
+    # built, not by the reflection cache's hash later.
+    with pytest.raises(ValueError, match=r"^the engine runs at one \(omega, mirror_phase\) "
+                                         r"point, not on a grid$"):
+        eng.EngineConfig(params=params)
 
 
 def test_reflection_channel_unitary():
@@ -200,6 +213,21 @@ def test_entropy_is_never_negative_and_transfer_at_most_ln2(seed):
         assert trace.entropy_transferred_nats <= np.log(2.0)
 
 
+def test_entropy_of_a_bloch_norm_stays_within_0_and_ln2():
+    # At small norms the two eigenvalue terms can round to ln 2 + 1 ulp
+    # (1.04e-12, 2.16e-10 and 1.42e-9 among them); the entropy is read as
+    # ln 2 there, as a norm past 1 is read as 1.
+    rng = np.random.default_rng(26)
+    norms = np.concatenate([
+        [0.0, 1.04e-12, 2.16e-10, 1.42e-9, 1.0, 1.0 + 1e-13],
+        rng.uniform(0.0, 1e-3, 2000), np.exp(rng.uniform(np.log(1e-12), np.log(1e-6), 2000)),
+        np.linspace(0.0, 1.0, 1001),
+    ])
+    entropies = np.array([eng._entropy_of_bloch_norm(float(n)) for n in norms])
+    assert not np.signbit(entropies).any()
+    assert entropies.max() == LN2
+
+
 def test_cycle_steps_are_immutable():
     trace = eng.run_cycle(maximally_mixed(2), _config(0.6, max_iters=5))
     for step in trace.steps:
@@ -269,7 +297,7 @@ def test_engine_guards_refuse_nan(monkeypatch):
                        "FM", [])
     nan_r = np.full((4, 4), np.nan, dtype=complex)
     monkeypatch.setattr(eng, "reflection_channel", lambda params, phase: nan_r)
-    with pytest.raises(RuntimeError, match="trace preservation by nan"):
+    with pytest.raises(RuntimeError, match="not a partial swap: deviation nan"):
         eng.bloch_map(reservoir, config)
     with pytest.raises(RuntimeError, match="trace preservation by nan"):
         eng.interact_once(maximally_mixed(2), reservoir, config)
@@ -285,11 +313,3 @@ def test_engine_guards_refuse_nan(monkeypatch):
             eng.reflection_channel(ScatterParams(0.37), 1.0)
     finally:
         eng.reflection_channel.cache_clear()
-
-
-def test_bloch_map_refuses_a_nan_choi_eigenvalue(monkeypatch):
-    # The trace-preservation check passes, but the Choi spectrum is NaN.
-    reservoir = eng.Reservoir("unpolarized")
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.array([np.nan, 0.5]))
-    with pytest.raises(RuntimeError, match="Choi eigenvalue nan"):
-        eng.bloch_map(reservoir, _config(0.37))
