@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from functools import cache
@@ -512,6 +513,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
+        if args.out is not None:
+            # Refuse an unwritable --out before the work; a file made here is removed.
+            existed = os.path.exists(args.out)
+            with _output(args.out), open(args.out, "a"):
+                pass
+            if not existed:  # the file made, not a symlink that led to it
+                os.remove(os.path.realpath(args.out))
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

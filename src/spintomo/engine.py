@@ -11,10 +11,10 @@ state, extracting up to ln 2 of entropy per cycle.
 
 Tracing out the reservoir spin leaves an affine map v -> M v + c on the
 static qubit's Bloch vector.  Isotropic exchange and a spin-blind mirror make
-R a partial swap a I + b SWAP (Scarani et al., PRL 88, 097905 (2002)), so the
-map is read off a and b; a cycle builds it once per reservoir, checks it once
-(R must have the partial-swap form and |a|^2 + |b|^2 = 1), and then iterates
-the map.  interact_once is the same collision on density matrices.
+R a partial swap a I + b SWAP (Scarani et al., PRL 88, 097905 (2002)), with a
+and b in closed form from the triplet and singlet sectors; a cycle builds the
+map from them once per reservoir, checks once that R is unitary, and then
+iterates the map.  interact_once is the same collision on density matrices.
 
 The mirror contributes m = -exp(i*mirror_phase) * I, where mirror_phase is
 the round-trip propagation phase to the gate.  At mirror_phase = 0 the
@@ -24,9 +24,9 @@ default working point is a quarter-wave spacing, mirror_phase = pi/2.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -41,14 +41,12 @@ from .qmat import (
     polarized_qubit,
     unit_axis,
 )
-from .scatter import ScatterParams, qubit_block
+from .scatter import ScatterParams
 
 DEFAULT_MIRROR_PHASE = np.pi / 2
 TRACE_PRESERVATION_TOL = 1e-12
 # A Bloch vector longer than 1 + BLOCH_BALL_TOL is not a state.
 BLOCH_BALL_TOL = 1e-12
-# Distinct (params, mirror_phase) pairs whose reflection operators are kept.
-REFLECTION_CACHE_SIZE = 64
 
 _I4 = np.eye(4, dtype=complex)
 _SWAP = _I4[[0, 2, 1, 3]]
@@ -107,25 +105,29 @@ class EngineConfig:
                              "distance with mirror_phase")
 
 
-@lru_cache(maxsize=REFLECTION_CACHE_SIZE)
-def reflection_channel(params: ScatterParams, mirror_phase: float) -> np.ndarray:
-    """Total reflection operator R on (flying, static) for impurity plus mirror.
+def partial_swap(params: ScatterParams, mirror_phase: float) -> tuple:
+    """(a, b) of R = a I + b SWAP on (flying, static), from the two exchange
+    sectors: sigma_f . sigma_s is lam = 1 on the triplet and -3 on the
+    singlet, where the impurity's t = 1 / (1 + i omega lam) and r = t - 1 and
+    the mirror's m sum to R_lam = r + t m t / (1 - r m)."""
+    m = -cmath.exp(1j * mirror_phase)
 
-    R = r + t' m (I - r' m)^-1 t with m = -exp(i*mirror_phase) I.  Unitary:
-    every incoming amplitude eventually returns to the reservoir.  Built once
-    per (params, mirror_phase) and served read-only from a bounded cache, so
-    a cycle's collisions share one operator.
-    """
-    blk = qubit_block(params)
-    m = -np.exp(1j * mirror_phase) * _I4
-    inner = _I4 - blk.r_prime @ m
-    series = np.linalg.solve(inner, blk.t)
-    r_tot = blk.r + blk.t_prime @ m @ series
-    err = np.max(np.abs(r_tot.conj().T @ r_tot - _I4))
-    if not err <= 1e-10:
-        raise RuntimeError(f"reflection operator not unitary: deviation {err:.3e}")
-    r_tot.flags.writeable = False
-    return r_tot
+    def sector(lam):
+        t = 1.0 / (1.0 + 1j * params.omega * lam)
+        r = t - 1.0
+        return r + t * m * t / (1.0 - r * m)
+
+    r_t, r_s = sector(1.0), sector(-3.0)
+    return (r_t + r_s) / 2, (r_t - r_s) / 2
+
+
+def reflection_channel(params: ScatterParams, mirror_phase: float) -> np.ndarray:
+    """Total reflection operator R = a I + b SWAP for impurity plus mirror,
+    read-only.  Unitary: every incoming amplitude returns to the reservoir."""
+    a, b = partial_swap(params, mirror_phase)
+    r = a * _I4 + b * _SWAP
+    r.flags.writeable = False
+    return r
 
 
 def interact_once(rho_s: DensityMatrix, reservoir: Reservoir,
@@ -143,29 +145,21 @@ def interact_once(rho_s: DensityMatrix, reservoir: Reservoir,
     return DensityMatrix(np.einsum("fsft->st", out.reshape(2, 2, 2, 2)))
 
 
-def partial_swap(params: ScatterParams, mirror_phase: float) -> tuple:
-    """(a, b) of the partial swap R = a I + b SWAP, read off R[1, 1] and R[2, 1];
-    an R farther than TRACE_PRESERVATION_TOL from that form is refused."""
-    r = reflection_channel(params, mirror_phase)
-    a, b = complex(r[1, 1]), complex(r[2, 1])
-    err = np.max(np.abs(r - a * _I4 - b * _SWAP))
-    if not err <= TRACE_PRESERVATION_TOL:
-        raise RuntimeError(f"reflection operator is not a partial swap: deviation {err:.3e}")
-    return a, b
-
-
 def bloch_map(reservoir: Reservoir, config: EngineConfig) -> tuple:
     """One collision as the affine map v -> M v + c on the static Bloch vector:
     the partial swap's v -> |a|^2 v + |b|^2 w + Im(a b*) w x v, with w the
-    reservoir's Bloch vector (Ziman et al., PRA 65, 042105 (2002)).  Its trace,
-    |a|^2 + |b|^2 = 1, is checked once.  Returns read-only (M, c)."""
+    reservoir's Bloch vector (Ziman et al., PRA 65, 042105 (2002)).  R is
+    checked once: R^dag R - I = (|a|^2 + |b|^2 - 1) I + 2 Re(a b*) SWAP.
+    Returns read-only (M, c)."""
     a, b = partial_swap(config.params, config.mirror_phase)
-    tp_err = abs(abs(a) ** 2 + abs(b) ** 2 - 1.0)
+    ab = a * b.conjugate()
+    # The first term is NaN whenever a or b is, and max keeps it.
+    tp_err = max(abs(abs(a) ** 2 + abs(b) ** 2 - 1.0), 2.0 * abs(ab.real))
     if not tp_err <= TRACE_PRESERVATION_TOL:
         raise RuntimeError(f"collision channel breaks trace preservation by {tp_err:.3e}")
     w = reservoir.axis if reservoir.kind == "polarized" else np.zeros(3)
     w_cross = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
-    m = abs(a) ** 2 * np.eye(3) + (a * b.conjugate()).imag * w_cross
+    m = abs(a) ** 2 * np.eye(3) + ab.imag * w_cross
     c = abs(b) ** 2 * w
     m.flags.writeable = c.flags.writeable = False
     return m, c

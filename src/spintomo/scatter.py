@@ -50,16 +50,6 @@ BLOCK_CACHE_SIZE = 64
 
 _I4 = np.eye(4, dtype=complex)
 
-# Gather indices lifting an operator on (flying, one static) to (flying, q1, q2):
-# entry [i, j] of the 8x8 lift is entry _LIFT[which][i, j] of the flattened
-# 4x4 operator, where index 16 is a padded zero (the spectator qubit flips).
-# The "second" lift is the "first" one with q1 and q2 exchanged in both
-# indices; _SWAP[i] is basis state i with its two static qubits exchanged.
-_SWAP = np.array([4 * f + 2 * b + a for f in range(2) for a in range(2) for b in range(2)])
-_LIFT_FIRST = np.kron(np.arange(1, 17).reshape(4, 4), np.eye(2, dtype=int)) - 1
-_LIFT_FIRST[_LIFT_FIRST < 0] = 16
-_LIFT = {"first": _LIFT_FIRST, "second": _LIFT_FIRST[np.ix_(_SWAP, _SWAP)]}
-
 
 class ResonantCascadeError(RuntimeError):
     """The multiple-scattering inversion is numerically singular."""
@@ -141,8 +131,7 @@ class ScatterBlock:
     def __post_init__(self):
         mats = []
         for name in ("r", "t", "r_prime", "t_prime"):
-            # C order: stacked products run about twice as slow on the
-            # strided arrays an index gather (embed_block) returns.
+            # C order: stacked products run about twice as slow on strided arrays.
             m = np.array(getattr(self, name), dtype=complex, order="C")
             if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
                 raise ValueError(f"{name} must be square")
@@ -262,13 +251,19 @@ def transparent_block(dim: int) -> ScatterBlock:
 
 
 def _embed4(mat4: np.ndarray, which: str) -> np.ndarray:
-    """Lift an operator (or a stack of them) on (flying, one static) to (flying, q1, q2)."""
-    if which not in _LIFT:
+    """Lift an operator (or a stack of them) on (flying, one static) to
+    (flying, q1, q2): one copy of it per basis state of the spectator qubit."""
+    if which not in ("first", "second"):
         raise ValueError(f"which must be 'first' or 'second', got {which!r}")
     lead = mat4.shape[:-2]
-    flat = np.concatenate([mat4.reshape(lead + (16,)), np.zeros(lead + (1,), dtype=complex)],
-                          axis=-1)
-    return flat[..., _LIFT[which]]
+    op = mat4.reshape(lead + (2, 2, 2, 2))
+    # Axes (f, q1, q2, f', q1', q2'): the spectator keeps its state.
+    lifted = np.zeros(lead + (2,) * 6, dtype=complex)
+    if which == "first":
+        lifted[..., :, :, 0, :, :, 0] = lifted[..., :, :, 1, :, :, 1] = op
+    else:
+        lifted[..., :, 0, :, :, 0, :] = lifted[..., :, 1, :, :, 1, :] = op
+    return lifted.reshape(lead + (8, 8))
 
 
 def embed_block(block: ScatterBlock, which: str) -> ScatterBlock:
@@ -279,11 +274,11 @@ def embed_block(block: ScatterBlock, which: str) -> ScatterBlock:
     """
     if block.dim != 4:
         raise ValueError(f"embed_block expects a dim-4 block, got {block.dim}")
-    # The lift only gathers the entries of an already checked block, so its
+    # The lift only copies the entries of an already checked block, so its
     # unitarity deviation is the block's own and is not checked again.
     lifted = object.__new__(ScatterBlock)
     for name in ("r", "t", "r_prime", "t_prime"):
-        m = np.ascontiguousarray(_embed4(getattr(block, name), which))
+        m = _embed4(getattr(block, name), which)
         m.flags.writeable = False
         object.__setattr__(lifted, name, m)
     return lifted

@@ -1,8 +1,9 @@
 """The engine's collision channel as an affine Bloch map v -> M v + c.
 
-The reflection operator is a partial swap R = a I + b SWAP; its (a, b) are
-checked against the closed form of the two exchange sectors, and the map
-built from them against interact_once.  run_cycle iterates the map;
+The reflection operator is a partial swap R = a I + b SWAP; its (a, b),
+computed in closed form from the two exchange sectors, are checked against
+the 4x4 multiple-scattering series built from the impurity's full block, and
+the map built from them against interact_once.  run_cycle iterates the map;
 interact_once stays the density-matrix oracle.
 The oracle's reflection operator is unitary only to rounding, so the trace
 of its state drifts by up to a few 1e-14 over hundreds of collisions; its
@@ -29,7 +30,7 @@ from spintomo.qmat import (
     trace_distance,
     von_neumann_entropy,
 )
-from spintomo.scatter import ScatterParams
+from spintomo.scatter import ScatterParams, qubit_block
 
 ORACLE_ATOL = 1e-14
 
@@ -49,35 +50,23 @@ def _reservoirs():
             eng.Reservoir("polarized", axis=np.array([0.6, 0.0, 0.8])))
 
 
-def sector_partial_swap(omega, phi):
-    """(a, b) from the two exchange sectors: sigma_f . sigma_s is 1 on the
-    triplet and -3 on the singlet, and each sector's impurity-plus-mirror
-    series sums to R_x = r_x - e^{i phi} t_x^2 / (1 + r_x e^{i phi})."""
-    def sector(lam):
-        t = 1.0 / (1.0 + 1j * omega * lam)
-        r = t - 1.0
-        mirror = np.exp(1j * phi)
-        return r - mirror * t * t / (1.0 + r * mirror)
-
-    r_t, r_s = sector(1.0), sector(-3.0)
-    return (r_t + r_s) / 2, (r_t - r_s) / 2
+def series_partial_swap(omega, phi):
+    """(a, b) read off R[1, 1] and R[2, 1] of the 4x4 multiple-scattering
+    series R = r + t' m (I - r' m)^-1 t, with m = -e^{i phi} I, built from
+    the impurity's full block."""
+    blk = qubit_block(ScatterParams(omega))
+    m = -np.exp(1j * phi) * np.eye(4)
+    r = blk.r + blk.t_prime @ m @ np.linalg.solve(np.eye(4) - blk.r_prime @ m, blk.t)
+    return complex(r[1, 1]), complex(r[2, 1])
 
 
 @given(st.floats(1e-3, 1e5), st.floats(0.0, 2 * np.pi))
-def test_partial_swap_matches_the_sector_closed_form(omega, phi):
+def test_partial_swap_matches_the_4x4_series(omega, phi):
     a, b = eng.partial_swap(ScatterParams(omega), phi)
-    want_a, want_b = sector_partial_swap(omega, phi)
+    want_a, want_b = series_partial_swap(omega, phi)
     assert abs(a - want_a) <= 1e-14 and abs(b - want_b) <= 1e-14
     assert abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-13
     assert abs((a * np.conj(b)).real) <= 1e-13
-
-
-def test_partial_swap_refuses_another_form(monkeypatch):
-    # unitary, but not a I + b SWAP: one basis state picks up its own phase
-    monkeypatch.setattr(eng, "reflection_channel",
-                        lambda params, phase: np.diag([1.0, 1.0, 1.0, 1j]))
-    with pytest.raises(RuntimeError, match="not a partial swap: deviation 1.414e"):
-        eng.partial_swap(ScatterParams(0.8), 1.0)
 
 
 @given(st.floats(0.05, 3.0), st.floats(0.1, np.pi - 0.1))
@@ -188,10 +177,12 @@ def test_run_cycle_matches_interact_once_loop():
 
 def test_map_guards(monkeypatch):
     config = _config(0.8)
-    # a lossy operator breaks trace preservation
-    monkeypatch.setattr(eng, "reflection_channel", lambda params, phase: 0.5 * np.eye(4))
-    with pytest.raises(RuntimeError, match="trace preservation"):
-        eng.bloch_map(eng.Reservoir("polarized"), config)
+    # a lossy operator, and a norm-preserving one whose R^dag R has a SWAP
+    # part 2 Re(a b*) = 0.96, both break trace preservation
+    for a, b in ((0.5, 0), (0.6, 0.8)):
+        monkeypatch.setattr(eng, "partial_swap", lambda params, phase, ab=(a, b): ab)
+        with pytest.raises(RuntimeError, match="trace preservation"):
+            eng.bloch_map(eng.Reservoir("polarized"), config)
 
 
 def test_bloch_ball_guard(monkeypatch):

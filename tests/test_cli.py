@@ -133,6 +133,35 @@ def test_unwritable_out_exit_1(tmp_path, capsys, argv):
     assert not path.parent.exists()
 
 
+def test_unwritable_out_is_refused_before_the_work(tmp_path, capsys, monkeypatch):
+    def fail(params):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "two_impurity_cascade", fail)
+    path = tmp_path / "missing" / "s.csv"
+    assert run(["sweep", "--omega-range", "0.001:70:0.0007", "--state", "singlet",
+                "--out", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", f"usage error: cannot write {str(path)!r}: No such file or directory\n")
+
+
+def test_out_checked_then_refused_grid_leaves_files_alone(tmp_path, capsys):
+    # The grid passes the --out check and is refused by the scattering layer.
+    argv = ["sweep", "--omega-range", "1e3:1e3:1", "--state", "singlet", "--out"]
+    fresh = tmp_path / "fresh.csv"
+    assert run([*argv, str(fresh)]) == 2
+    assert not fresh.exists()
+    kept = tmp_path / "kept.csv"
+    kept.write_bytes(b"old,bytes\r\n")
+    assert run([*argv, str(kept)]) == 2
+    assert kept.read_bytes() == b"old,bytes\r\n"
+    link = tmp_path / "link.csv"
+    link.symlink_to(tmp_path / "target.csv")
+    assert run([*argv, str(link)]) == 2
+    assert link.is_symlink() and not (tmp_path / "target.csv").exists()
+    assert "validation error: scattering matrix is not unitary" in capsys.readouterr().err
+
+
 def test_negative_shots_exit_1(capsys):
     assert run(["tomo", "--mode", "two_qubit_gates", "--state", "singlet",
                 "--shots", "-5", "--seed", "1"]) == 1

@@ -96,8 +96,6 @@ def test_equal_params_share_cached_operators():
     fresh = block_oracle(ScatterParams(0.8, 0.3))
     for name in ("r", "t", "r_prime", "t_prime"):
         assert_array_equal(getattr(block, name), getattr(fresh, name))
-    r = eng.reflection_channel(ScatterParams(0.8), 1.1)
-    assert eng.reflection_channel(ScatterParams(0.8), 1.1) is r
     setting = tomo.MeasurementSetting(params=ScatterParams(0.8, 0.3), seq=g.sequence("H@1"))
     row, offset = tomo.setting_row(setting)
     again, offset_again = tomo.setting_row(setting)

@@ -444,9 +444,26 @@ def _unitarity_deviation(block):
     return np.max(np.abs(_dagger(s) @ s - np.eye(s.shape[-1])), axis=(-2, -1))
 
 
+# Basis state (f, q1, q2) -> (f, q2, q1): exchanges the two static qubits.
+_STATIC_SWAP = [0, 2, 1, 3, 4, 6, 5, 7]
+
+
+def test_embedded_block_is_the_kronecker_lift():
+    # "first" acts on (flying, q1) with q2 a spectator: M (x) I_2; "second"
+    # is the same lift with q1 and q2 exchanged.
+    for omega in (0.3, 2.7, np.linspace(0.01, 40.0, 7)):
+        single = qubit_block(ScatterParams(omega))
+        first, second = embed_block(single, "first"), embed_block(single, "second")
+        for name in ("r", "t", "r_prime", "t_prime"):
+            want = np.kron(getattr(single, name), np.eye(2))
+            assert np.array_equal(getattr(first, name), want)
+            swapped = want[..., _STATIC_SWAP, :][..., _STATIC_SWAP]
+            assert np.array_equal(getattr(second, name), swapped)
+
+
 @pytest.mark.parametrize("which", ["first", "second"])
 def test_embedded_block_keeps_source_unitarity_deviation(which):
-    # The lift is an index gather of a checked block, so it is not checked
+    # The lift only copies the entries of a checked block, so it is not checked
     # again: its deviation must be the source's, to the last bit.
     for omega in (0.3, 1.0, 2.7, 50.0, np.linspace(0.01, 40.0, 200)):
         single = qubit_block(ScatterParams(omega))
