@@ -48,6 +48,7 @@ from .scatter import (
     frozen_pair_pt,
     full_input_state,
     pt_unpolarized_closed_form,
+    qubit_block,
     qubit_t_single,
     transmission_probability,
     two_impurity_block,
@@ -411,6 +412,22 @@ def _suite_engine_bloch_map(rng):
             yield np.max(np.abs(m @ v + c - out))
 
 
+def _suite_engine_partial_swap(rng):
+    # The two-sector (a, b) against the 4x4 multiple-scattering series
+    # R = r + t' m (I - r' m)^-1 t built from the impurity's full block, with
+    # the mirror's m = -e^{i phi} I: R = a I + b SWAP, so a = R[1, 1] and
+    # b = R[2, 1] in the (flying, static) basis.
+    for _ in range(10):
+        params = ScatterParams(rng.uniform(0.1, 2.0), 0.0)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        a, b = eng.partial_swap(params, phase)
+        blk = qubit_block(params)
+        m = -np.exp(1j * phase) * np.eye(4)
+        r = blk.r + blk.t_prime @ m @ np.linalg.solve(np.eye(4) - blk.r_prime @ m, blk.t)
+        yield abs(a - r[1, 1])
+        yield abs(b - r[2, 1])
+
+
 def _suite_tomo_roundtrip(rng):
     plan = tomo.plan_standard("two_qubit_gates", ScatterParams(1.0, 0.0))
     for _ in range(5):
@@ -436,6 +453,7 @@ def run_validation(seed: int = 7042) -> dict:
         "basis_invariance": (_suite_basis_invariance, 1e-10),
         "plan_rank_and_conditioning": (_suite_plan_rank, 1.0),
         "engine_bloch_map": (_suite_engine_bloch_map, 1e-12),
+        "engine_partial_swap": (_suite_engine_partial_swap, 1e-12),
         "tomography_roundtrip": (_suite_tomo_roundtrip, 1e-9),
     }
     seed_seq = np.random.SeedSequence(seed)

@@ -13,6 +13,14 @@ between two scatterers contributes only through the single phase kd_phase.
 
 Basis order for composite spaces is (flying, qubit1, qubit2), each factor in
 the (|0>=up, |1>=down) basis.
+
+Pointlike scatterers and the pair of identical qubit impurities are
+mirror-symmetric: their right-incidence blocks are the left ones relabelled
+by a basis permutation X (the identity for a pointlike scatterer, the
+exchange of qubit1 and qubit2 for the pair), r' = X r X and t' = X t X.
+Such blocks are built from r and t alone, and their unitarity check skips
+the product that the symmetry makes a permutation of another.  The generic
+cascade of two arbitrary blocks stays as the pair's oracle.
 """
 from __future__ import annotations
 
@@ -49,6 +57,8 @@ _CERTIFICATE_MARGIN = 64.0
 BLOCK_CACHE_SIZE = 64
 
 _I4 = np.eye(4, dtype=complex)
+# Basis index 4 f + 2 q1 + q2 of (flying, q1, q2) with q1 and q2 exchanged.
+_QUBIT_EXCHANGE = np.array([0, 2, 1, 3, 4, 6, 5, 7])
 
 
 class ResonantCascadeError(RuntimeError):
@@ -140,17 +150,7 @@ class ScatterBlock:
             mats.append(m)
         if len({m.shape for m in mats}) != 1:
             raise ValueError("all four blocks must share one shape")
-        # S^dag S from the column blocks L = [r; t] and R = [t'; r'] of S:
-        # its off-diagonal blocks are L^dag R and its conjugate transpose.
-        # np.max, not max, so that a NaN in any block propagates.
-        left = np.concatenate([self.r, self.t], axis=-2)
-        right = np.concatenate([self.t_prime, self.r_prime], axis=-2)
-        left_h, right_h = _dagger(left), _dagger(right)
-        ident = np.eye(self.dim)
-        err = np.max([np.max(np.abs(left_h @ left - ident)), np.max(np.abs(left_h @ right)),
-                      np.max(np.abs(right_h @ right - ident))])
-        if not err <= UNITARITY_TOL:
-            raise ValueError(f"scattering matrix is not unitary: deviation {err:.3e}")
+        _check_unitary(self, right_column=True)
 
     @property
     def dim(self) -> int:
@@ -161,6 +161,56 @@ class ScatterBlock:
         top = np.concatenate([self.r, self.t_prime], axis=-1)
         bottom = np.concatenate([self.t, self.r_prime], axis=-1)
         return np.concatenate([top, bottom], axis=-2)
+
+
+def _check_unitary(block: ScatterBlock, right_column: bool) -> None:
+    """Refuse a block whose full matrix S deviates from unitarity by more
+    than UNITARITY_TOL at any point.
+
+    S^dag S is built from the column blocks L = [r; t] and R = [t'; r'] of
+    S: its off-diagonal blocks are L^dag R and its conjugate transpose.  The
+    R^dag R - I product is skipped when the caller knows it to be a
+    permutation of L^dag L - I.
+    """
+    left = np.concatenate([block.r, block.t], axis=-2)
+    right = np.concatenate([block.t_prime, block.r_prime], axis=-2)
+    left_h = _dagger(left)
+    ident = np.eye(block.dim)
+    # np.max, not max, so that a NaN in any block propagates.
+    products = [left_h @ left - ident, left_h @ right]
+    if right_column:
+        products.append(_dagger(right) @ right - ident)
+    err = np.max([np.max(np.abs(p)) for p in products])
+    if not err <= UNITARITY_TOL:
+        raise ValueError(f"scattering matrix is not unitary: deviation {err:.3e}")
+
+
+def _exchange_symmetric_block(r: np.ndarray, t: np.ndarray, exchange=None) -> ScatterBlock:
+    """A block (or stack) whose right-incidence blocks are its left ones
+    relabelled: r' = X r X and t' = X t X for the basis permutation X given
+    as an index array, or r' = r and t' = t when exchange is None.
+
+    Then the column blocks of S = [[r, t'], [t, r']] obey right = J left X,
+    with J the permutation that swaps the two row blocks and applies X to
+    each, so R^dag R - I = X^T (L^dag L - I) X is the first product
+    permuted; only L^dag L - I and L^dag R are checked.  r and t must be
+    complex and C-ordered; they are made read-only in place, and without
+    exchange they are shared by the primed fields.
+    """
+    if exchange is None:
+        r_prime, t_prime = r, t
+    else:
+        # One gather on the flattened matrices keeps the result C-ordered.
+        n = len(exchange)
+        flat = (exchange[:, None] * n + exchange).ravel()
+        r_prime, t_prime = (np.take(m.reshape(m.shape[:-2] + (n * n,)), flat, axis=-1)
+                            .reshape(m.shape) for m in (r, t))
+    block = object.__new__(ScatterBlock)
+    for name, m in (("r", r), ("t", t), ("r_prime", r_prime), ("t_prime", t_prime)):
+        m.flags.writeable = False
+        object.__setattr__(block, name, m)
+    _check_unitary(block, right_column=False)
+    return block
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
@@ -202,9 +252,10 @@ def _zero_phase_omega_squared(params: ScatterParams):
 
 
 def _pointlike_block(t: np.ndarray) -> ScatterBlock:
-    """A pointlike scatterer's block (or stack) from its t: r = t - I, primed = unprimed."""
+    """A pointlike scatterer's block (or stack) from a freshly built t:
+    r = t - I, and the primed fields are the same arrays as the unprimed."""
     r = t - np.eye(t.shape[-1], dtype=complex)
-    return ScatterBlock(r=r, t=t, r_prime=r, t_prime=t)
+    return _exchange_symmetric_block(r, t)
 
 
 def frozen_t(params: ScatterParams, spin: FrozenSpin) -> np.ndarray:
@@ -313,6 +364,24 @@ def _svd_guard(m: np.ndarray) -> None:
             f"values {s_max[resonant][0]:.3e} down to {s_min[resonant][0]:.3e}")
 
 
+def _guarded_inverse(m: np.ndarray) -> np.ndarray:
+    """The inverse of m (or of each matrix in a stack), refused with
+    ResonantCascadeError where the SVD guard refuses m.  The guard first
+    certifies m from the Frobenius norms of m and of its computed inverse,
+    and runs the SVD only when that is inconclusive."""
+    ident = np.eye(m.shape[-1], dtype=complex)
+    try:
+        inv = np.linalg.solve(m, ident)
+    except np.linalg.LinAlgError:
+        certified = False
+    else:
+        certified = _certified(m, inv)
+    if not certified:
+        _svd_guard(m)
+        inv = np.linalg.solve(m, ident)
+    return inv
+
+
 def cascade(b1: ScatterBlock, b2: ScatterBlock, params: ScatterParams) -> ScatterBlock:
     """Compose two scatterers separated by the propagation phase kd_phase.
 
@@ -335,21 +404,8 @@ def cascade(b1: ScatterBlock, b2: ScatterBlock, params: ScatterParams) -> Scatte
     ident = np.eye(n, dtype=complex)
     ph, ph2 = _phase_factors(params)
 
-    m1 = ident - ph2 * (b1.r_prime @ b2.r)
-    m2 = ident - ph2 * (b2.r @ b1.r_prime)
-    try:
-        inv1 = np.linalg.solve(m1, ident)
-        inv2 = np.linalg.solve(m2, ident)
-    except np.linalg.LinAlgError:
-        certified = False
-    else:
-        certified = _certified(m1, inv1) and _certified(m2, inv2)
-    if not certified:
-        for m in (m1, m2):
-            _svd_guard(m)
-        inv1 = np.linalg.solve(m1, ident)
-        inv2 = np.linalg.solve(m2, ident)
-
+    inv1 = _guarded_inverse(ident - ph2 * (b1.r_prime @ b2.r))
+    inv2 = _guarded_inverse(ident - ph2 * (b2.r @ b1.r_prime))
     t_c = ph * (b2.t @ inv1 @ b1.t)
     r_c = b1.r + ph2 * (b1.t_prime @ b2.r @ inv1 @ b1.t)
     tp_c = ph * (b1.t_prime @ inv2 @ b2.t_prime)
@@ -362,9 +418,26 @@ def two_impurity_cascade(params: ScatterParams) -> ScatterBlock:
 
     Built afresh on every call; grid params give one stacked block per grid
     point.  Single points are better served by two_impurity_block.
+
+    Exchanging the static qubits (the permutation X) maps the first
+    impurity's lifted block onto the second's, and each impurity is
+    pointlike (r' = r, t' = t).  So the pair is mirror-symmetric: the
+    matrix cascade inverts for right incidence is X m1 X, and the cascade's
+    r' and t' are X r X and X t X.  Only m1 is solved and guarded (X m1 X
+    has m1's singular values), and the primed blocks are read off r and t
+    by one index gather each.  r and t are the expressions cascade
+    evaluates, on the same lifted arrays in the same association, so they
+    equal cascade(embed_block(q, "first"), embed_block(q, "second"), params)
+    bit for bit; the primed blocks differ from cascade's by rounding only.
     """
     single = qubit_block(params)
-    return cascade(embed_block(single, "first"), embed_block(single, "second"), params)
+    r1, t1 = _embed4(single.r, "first"), _embed4(single.t, "first")
+    r2, t2 = _embed4(single.r, "second"), _embed4(single.t, "second")
+    ph, ph2 = _phase_factors(params)
+    inv1 = _guarded_inverse(np.eye(8, dtype=complex) - ph2 * (r1 @ r2))
+    t_c = ph * (t2 @ inv1 @ t1)
+    r_c = r1 + ph2 * (t1 @ r2 @ inv1 @ t1)
+    return _exchange_symmetric_block(r_c, t_c, _QUBIT_EXCHANGE)
 
 
 @lru_cache(maxsize=BLOCK_CACHE_SIZE)

@@ -132,15 +132,15 @@ def test_mirror_pairs_on_resonance_refuse_with_the_svd_message(kd):
     assert got == _outcome(lambda: reference_cascade(_mirror(4, lead), _mirror(4, lead), params))
 
 
-def _count_svd(monkeypatch):
+def _count_calls(monkeypatch, owner, name):
     calls = []
-    svd = np.linalg.svd
+    original = getattr(owner, name)
 
-    def counting_svd(*args, **kwargs):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return svd(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(owner, name, counting)
     return calls
 
 
@@ -148,7 +148,7 @@ def _count_svd(monkeypatch):
 def test_benign_grids_take_the_certificate(monkeypatch, kd):
     # A sweep-sized grid away from resonance is certified from its inverse:
     # the SVD never runs.  A change that falls back on every point fails here.
-    calls = _count_svd(monkeypatch)
+    calls = _count_calls(monkeypatch, np.linalg, "svd")
     two_impurity_cascade(ScatterParams(np.linspace(0.2, 1.4, 60), kd))
     two_impurity_cascade(ScatterParams(0.8, np.linspace(0.0, 1.2, 60)))
     angles = np.linspace(0.0, 3.0, 120)
@@ -159,6 +159,33 @@ def test_benign_grids_take_the_certificate(monkeypatch, kd):
     with pytest.raises(ResonantCascadeError):
         cascade(_mirror(4), _mirror(4), ScatterParams(1.0))
     assert calls, "the resonant mirror pair must reach the SVD guard"
+
+
+@pytest.mark.parametrize("params", [ScatterParams(0.8, 0.3),
+                                    ScatterParams(np.linspace(0.2, 1.4, 60), 0.4)])
+def test_two_impurity_cascade_solves_and_certifies_once(monkeypatch, params):
+    # The right-incidence inverse is the left one with q1 and q2 exchanged,
+    # so one solve and one certificate serve both.  A change that solves
+    # both inverses again fails here.
+    solves = _count_calls(monkeypatch, np.linalg, "solve")
+    certificates = _count_calls(monkeypatch, scatter, "_certified")
+    two_impurity_cascade(params)
+    assert (len(solves), len(certificates)) == (1, 1)
+
+
+@pytest.mark.parametrize("params", [ScatterParams(0.8, 0.3),
+                                    ScatterParams(np.linspace(0.2, 1.4, 60), 0.4),
+                                    ScatterParams(0.8, np.linspace(0.0, 1.2, 60))])
+def test_uncertified_points_take_one_svd(monkeypatch, params):
+    # Without the certificate the fallback guards m1 alone: X m1 X has its
+    # singular values.  The blocks are those the certified path returns.
+    want = two_impurity_cascade(params)
+    monkeypatch.setattr(scatter, "_certified", lambda m, inv: False)
+    svd = _count_calls(monkeypatch, np.linalg, "svd")
+    got = two_impurity_cascade(params)
+    assert len(svd) == 1
+    for name in ("r", "t", "r_prime", "t_prime"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 @given(dim=st.sampled_from([2, 4, 8]), log_cond=st.floats(0.0, 14.0),

@@ -455,6 +455,26 @@ def test_validate_fails_an_engine_map_off_by_its_own_comparison(monkeypatch, cap
     assert json.loads(capsys.readouterr().out) == rep
 
 
+def test_validate_fails_a_partial_swap_with_its_sectors_exchanged(monkeypatch, capsys):
+    # (a, -b) is the triplet and singlet values exchanged: still a unitary
+    # partial swap, and bloch_map and interact_once agree on it, so only the
+    # comparison with the 4x4 multiple-scattering series catches it.
+    partial_swap = cli.eng.partial_swap
+
+    def exchanged(params, phase):
+        a, b = partial_swap(params, phase)
+        return a, -b
+
+    monkeypatch.setattr(cli.eng, "partial_swap", exchanged)
+    rep = cli.run_validation()
+    broken = rep["engine_partial_swap"]
+    assert broken["passed"] is False and broken["max_error"] > 0.1
+    assert broken["threshold"] == 1e-12 and "error" not in broken
+    assert all(s["passed"] for k, s in rep.items() if k != "engine_partial_swap")
+    assert run(["validate"]) == 2
+    assert json.loads(capsys.readouterr().out) == rep
+
+
 def _strict_json(text):
     def refuse(name):
         raise ValueError(f"non-standard JSON constant {name}")

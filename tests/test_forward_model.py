@@ -94,8 +94,12 @@ def test_equal_params_share_cached_operators():
     block = two_impurity_block(ScatterParams(0.8, 0.3))
     assert two_impurity_block(ScatterParams(0.8, 0.3)) is block
     fresh = block_oracle(ScatterParams(0.8, 0.3))
-    for name in ("r", "t", "r_prime", "t_prime"):
+    for name in ("r", "t"):
         assert_array_equal(getattr(block, name), getattr(fresh, name))
+    # The primed blocks are the oracle's r and t with q1 and q2 exchanged.
+    exchange = np.ix_([0, 2, 1, 3, 4, 6, 5, 7], [0, 2, 1, 3, 4, 6, 5, 7])
+    assert_array_equal(block.r_prime, fresh.r[exchange])
+    assert_array_equal(block.t_prime, fresh.t[exchange])
     setting = tomo.MeasurementSetting(params=ScatterParams(0.8, 0.3), seq=g.sequence("H@1"))
     row, offset = tomo.setting_row(setting)
     again, offset_again = tomo.setting_row(setting)

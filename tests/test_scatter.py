@@ -133,7 +133,8 @@ def test_single_impurity_block_identity():
 
 
 def test_pointlike_blocks_share_one_layout():
-    # r = t - I bit for bit, and primed = unprimed, at one point and on a grid
+    # r = t - I bit for bit, and the primed blocks are the unprimed arrays,
+    # at one point and on a grid
     spins = FrozenSpin(np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8]]))
     for omega, spin in ((0.8, FrozenSpin.from_angles(0.4, 1.1)), (np.array([0.3, 1.7]), spins)):
         params = ScatterParams(omega)
@@ -141,6 +142,7 @@ def test_pointlike_blocks_share_one_layout():
             assert_array_equal(b.r, b.t - np.eye(b.dim))
             assert_array_equal(b.r_prime, b.r)
             assert_array_equal(b.t_prime, b.t)
+            assert b.r_prime is b.r and b.t_prime is b.t
 
 
 def test_zpolarized_single_impurity_pt():
