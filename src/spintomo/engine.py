@@ -94,8 +94,8 @@ class EngineConfig:
             raise ValueError("mirror_phase must be finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not self.tol > 0:  # NaN fails too
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:  # NaN fails too
+            raise ValueError("tol must be finite and positive")
         params = self.params
         if isinstance(params.omega, np.ndarray) or isinstance(params.kd_phase, np.ndarray):
             raise ValueError("the engine runs at one (omega, mirror_phase) point, not on a grid")

@@ -591,10 +591,10 @@ def _fit_kets(kets: np.ndarray, qt: np.ndarray, b, y, w) -> tuple:
     its own accept/reject decision and damping, a renormalized ket after
     every step.  The damping is isotropic, so a step stays orthogonal to the
     gauge directions psi and i psi, along which the Jacobian vanishes.  A
-    start leaves the batch when its gradient, relative cost change or step
-    falls below PURE_FIT_TOL.  No start sees another's numbers, so a start
-    reaches the same fit in any batch; the batch runs as long as its slowest
-    start.  One stacked matmul of _ket_model's system with itself gives
+    start leaves the batch when its gradient, or the gain its model predicts
+    relative to its cost, falls below PURE_FIT_TOL.  No start sees another's
+    numbers, so a start reaches the same fit in any batch; the batch runs as
+    long as its slowest start.  _ket_model's system times its transpose is
     [J^T J + G^T G, J^T r; r^T J, r^T r]; an accepted step moves it and x.
     """
     x = np.concatenate([kets.real, kets.imag], axis=1)
@@ -621,11 +621,11 @@ def _fit_kets(kets: np.ndarray, qt: np.ndarray, b, y, w) -> tuple:
         x_new /= np.sqrt((x_new * x_new).sum(axis=1, keepdims=True))
         system = _ket_model(x_new, qt, b, y, w)[2]
         normal_new = system @ system.transpose(0, 2, 1)
-        # r^T r is twice the cost: each test below is on the cost, doubled.
+        # r^T r is twice the cost, predicted twice the model's gain (> 0: lhs is SPD).
+        predicted = step.transpose(0, 2, 1) @ (mu * step + grad)
         reduction = normal[:, 8:, 8:] - normal_new[:, 8:, 8:]
-        ratio = reduction / (step.transpose(0, 2, 1) @ (mu * step + grad))
-        done = ((reduction < PURE_FIT_TOL * normal[:, 8:, 8:]) & (ratio > 0.25)
-                | (np.sqrt(step.transpose(0, 2, 1) @ step) < PURE_FIT_TOL * (PURE_FIT_TOL + 1.0)))
+        ratio = reduction / predicted
+        done = predicted < PURE_FIT_TOL * normal[:, 8:, 8:]
         accept = reduction > 0.0
         mu = mu * np.where(accept, np.maximum(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), nu)
         nu = np.where(accept, 2.0, 2.0 * nu)
@@ -751,8 +751,10 @@ def reconstruct_pure(records) -> PureStateFit:
     the fits and the complex conjugate of every fit finds the least similar
     state that fits as well as the best (within 1e-9), and the refusal prints
     its infidelity, 1 - overlap with the best fit, or "< 1e-6" below 1e-6.
-    A flat design raises FlatDesignError.
+    A flat design raises FlatDesignError; ancilla records raise ValueError.
     """
+    if any(r.setting.ancilla_axis is not None for r in records):
+        raise ValueError("reconstruct_pure expects register records")
     qt, b, y, w, chi0 = _pure_model(records)
     noiseless = all(r.shots == 0 for r in records)
     branches = _branch_kets(chi0)

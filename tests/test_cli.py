@@ -563,10 +563,12 @@ def test_non_finite_bloch_state_exits_2(tmp_path, capsys, state):
 
 
 def test_nan_engine_tol_exits_2(tmp_path, capsys):
+    # inf too: it would claim convergence after one collision.
     out = tmp_path / "trace.csv"
-    assert run(["engine", "--omega", "1", "--tol", "nan", "--out", str(out)]) == 2
-    assert capsys.readouterr() == ("", "validation error: tol must be positive\n")
-    assert not out.exists()
+    for tol in ("nan", "inf"):
+        assert run(["engine", "--omega", "1", "--tol", tol, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "validation error: tol must be finite and positive\n")
+        assert not out.exists()
 
 
 def test_bloch_state_outside_the_ball_stays_a_usage_error(capsys):

@@ -35,8 +35,10 @@ def test_config_validation():
         eng.EngineConfig(params=ScatterParams(1.0), max_iters=0)
     with pytest.raises(ValueError):
         eng.EngineConfig(params=ScatterParams(1.0), tol=-1.0)
-    with pytest.raises(ValueError, match="^tol must be positive$"):
-        eng.EngineConfig(params=ScatterParams(1.0), tol=float("nan"))
+    # An infinite tol would claim convergence after the first collision.
+    for tol in (float("nan"), np.inf):
+        with pytest.raises(ValueError, match="^tol must be finite and positive$"):
+            eng.EngineConfig(params=ScatterParams(1.0), tol=tol)
     with pytest.raises(ValueError):
         eng.EngineConfig(params=ScatterParams(1.0), mirror_phase=np.inf)
     # One impurity's block ignores kd_phase, so a nonzero one is refused

@@ -445,6 +445,34 @@ def test_batched_pure_fit_starts_do_not_couple(shots, seed):
         assert abs(np.vdot(ket[0], kets[k])) ** 2 > 1.0 - 1e-12
 
 
+@pytest.mark.parametrize("shots, seed", [(0, 91), (0, 92), (10_000, 93), (100_000, 94)])
+def test_pure_fit_restarted_at_its_own_fits_stops_at_once(shots, seed, monkeypatch):
+    # A start at a fit has nothing left to gain: its gradient, or the first
+    # trial's predicted gain, is below PURE_FIT_TOL, so no start takes more
+    # than two model evaluations and none moves its residual.
+    rng = np.random.default_rng(seed)
+    plan = tomo.plan_standard("pure_state", ScatterParams(rng.uniform(0.5, 1.5)))
+    records = tomo.run_plan(plan, ket_density(random_ket(4, rng)), shots, seed=seed)
+    qt, b, y, w, chi0 = tomo._pure_model(records)
+    starts = np.vstack([tomo._branch_kets(chi0), tomo._restart_kets(chi0)])
+    kets, res = tomo._fit_kets(starts, qt, b, y, w)
+    evaluated = []
+    ket_model = tomo._ket_model
+    monkeypatch.setattr(tomo, "_ket_model",
+                        lambda x, *args: evaluated.append(len(x)) or ket_model(x, *args))
+    _, again = tomo._fit_kets(kets, qt, b, y, w)
+    # A batch runs as long as its slowest start.
+    assert evaluated[0] == 32 and len(evaluated) <= 2
+    # Noiseless residuals of ~1e-16 are rounding, so they are held to 1e-12.
+    assert np.all(np.abs(again - res) <= 1e-12 * np.maximum(res, 1.0))
+
+
+def test_pure_fit_refuses_ancilla_records():
+    plan = tomo.plan_standard("single_qubit_ancilla", PARAMS)
+    with pytest.raises(ValueError, match="^reconstruct_pure expects register records$"):
+        tomo.reconstruct_pure(tomo.run_plan(plan, maximally_mixed(2), 0))
+
+
 def test_pure_model_forms_are_built_once_per_design():
     plan = tomo.plan_standard("pure_state", ScatterParams(0.8))
     records = tomo.run_plan(plan, singlet(), 10_000, seed=5)
