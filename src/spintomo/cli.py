@@ -43,8 +43,8 @@ from .scatter import (
     FrozenSpin,
     ResonantCascadeError,
     ScatterParams,
-    cascade,
     frozen_block,
+    frozen_pair,
     frozen_pair_pt,
     full_input_state,
     pt_unpolarized_closed_form,
@@ -174,7 +174,9 @@ def _read_state(source: str, dim: int) -> DensityMatrix:
         raise UsageError(f"unknown state generator or missing file: {source!r}") from None
     except OSError as exc:
         raise UsageError(f"cannot read state file {source!r}: {exc.strerror}") from None
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except InvalidStateError:
+        raise  # the file parsed, into a matrix that is no density matrix
+    except (ValueError, KeyError, TypeError) as exc:  # undecodable text or JSON included
         raise InvalidStateError(f"malformed state file {source!r}: {exc}") from None
 
 
@@ -213,7 +215,11 @@ def _rows(*columns) -> list:
 
 
 def cmd_sweep(args) -> int:
-    kd = args.kd
+    # Each axis reads all flags but one; passing that one is refused, not ignored.
+    for axis, flag in (("omega", "omega"), ("kd", "kd"), ("theta", "state")):
+        if getattr(args, f"{axis}_range") is not None and getattr(args, flag) is not None:
+            raise UsageError(f"--{axis}-range sweeps do not read --{flag}")
+    kd = 0.0 if args.kd is None else args.kd
 
     # A point that fails a check refuses the whole grid before any line is
     # written.
@@ -225,10 +231,9 @@ def cmd_sweep(args) -> int:
         lines = ["theta,omega,kd,pt_closed_form,pt_matrix,abs_diff"]
         kd0 = ScatterParams(args.omega, 0.0)
         params = ScatterParams(args.omega, kd)
-        aligned = frozen_block(params, FrozenSpin.from_angles(0.0))
         for (th,) in _slices(thetas):
             closed = frozen_pair_pt(kd0, th)
-            block = cascade(aligned, frozen_block(params, FrozenSpin.from_angles(th)), params)
+            block = frozen_pair(params, th)
             matrix = transmission_probability(block, unpolarized)
             lines += _rows(th, args.omega, kd, closed, matrix, abs(closed - matrix))
     else:
@@ -338,13 +343,11 @@ def _suite_frozen_unitarity(rng):
 
 
 def _suite_frozen_pair(rng):
-    # One stacked cascade per omega, as sweep --theta-range runs it.
+    # One stacked pair per omega, as sweep --theta-range builds it.
     thetas = np.linspace(0.0, np.pi, 10)
     for om in np.linspace(0.1, 3.0, 10):
         params = ScatterParams(om, 0.0)
-        b = cascade(frozen_block(params, FrozenSpin.from_angles(0.0)),
-                    frozen_block(params, FrozenSpin.from_angles(thetas)), params)
-        pt = transmission_probability(b, maximally_mixed(2))
+        pt = transmission_probability(frozen_pair(params, thetas), maximally_mixed(2))
         yield from np.abs(pt - frozen_pair_pt(params, thetas))
 
 
@@ -490,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     axis.add_argument("--theta-range", default=None, metavar="A:B:STEP")
     axis.add_argument("--kd-range", default=None, metavar="A:B:STEP")
     sweep.add_argument("--omega", type=float, default=None)
-    sweep.add_argument("--kd", type=float, default=0.0)
+    # None, not 0, so that an explicit --kd is seen; absent, kd is 0.
+    sweep.add_argument("--kd", type=float, default=None)
     sweep.add_argument("--state", default=None)
     sweep.add_argument("--out", default=None)
     sweep.set_defaults(func=cmd_sweep)

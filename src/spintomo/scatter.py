@@ -14,13 +14,13 @@ between two scatterers contributes only through the single phase kd_phase.
 Basis order for composite spaces is (flying, qubit1, qubit2), each factor in
 the (|0>=up, |1>=down) basis.
 
-Pointlike scatterers and the pair of identical qubit impurities are
-mirror-symmetric: their right-incidence blocks are the left ones relabelled
-by a basis permutation X (the identity for a pointlike scatterer, the
-exchange of qubit1 and qubit2 for the pair), r' = X r X and t' = X t X.
-Such blocks are built from r and t alone, and their unitarity check skips
-the product that the symmetry makes a permutation of another.  The generic
-cascade of two arbitrary blocks stays as the pair's oracle.
+Pointlike scatterers and both pairs cascaded here are mirror-symmetric:
+r' = X r X and t' = X t X for a unitary involution X (the identity for a
+pointlike scatterer, the exchange of qubit1 and qubit2 for the qubit pair,
+a pi rotation of the flying spin for the frozen-spin pair).  Such blocks
+are built from r and t alone, and their unitarity check skips the product
+that the symmetry makes a conjugate of another.  The generic cascade of two
+arbitrary blocks stays as both pairs' oracle.
 """
 from __future__ import annotations
 
@@ -57,8 +57,6 @@ _CERTIFICATE_MARGIN = 64.0
 BLOCK_CACHE_SIZE = 64
 
 _I4 = np.eye(4, dtype=complex)
-# Basis index 4 f + 2 q1 + q2 of (flying, q1, q2) with q1 and q2 exchanged.
-_QUBIT_EXCHANGE = np.array([0, 2, 1, 3, 4, 6, 5, 7])
 
 
 class ResonantCascadeError(RuntimeError):
@@ -169,8 +167,8 @@ def _check_unitary(block: ScatterBlock, right_column: bool) -> None:
 
     S^dag S is built from the column blocks L = [r; t] and R = [t'; r'] of
     S: its off-diagonal blocks are L^dag R and its conjugate transpose.  The
-    R^dag R - I product is skipped when the caller knows it to be a
-    permutation of L^dag L - I.
+    R^dag R - I product is skipped when the caller knows it to be
+    L^dag L - I conjugated by a unitary.
     """
     left = np.concatenate([block.r, block.t], axis=-2)
     right = np.concatenate([block.t_prime, block.r_prime], axis=-2)
@@ -185,26 +183,18 @@ def _check_unitary(block: ScatterBlock, right_column: bool) -> None:
         raise ValueError(f"scattering matrix is not unitary: deviation {err:.3e}")
 
 
-def _exchange_symmetric_block(r: np.ndarray, t: np.ndarray, exchange=None) -> ScatterBlock:
-    """A block (or stack) whose right-incidence blocks are its left ones
-    relabelled: r' = X r X and t' = X t X for the basis permutation X given
-    as an index array, or r' = r and t' = t when exchange is None.
+def _exchange_symmetric_block(r: np.ndarray, t: np.ndarray, mirror=None) -> ScatterBlock:
+    """A block (or stack) with r' = X r X and t' = X t X, mirror being the
+    map m -> X m X of a unitary involution X; r' = r and t' = t without one.
 
     Then the column blocks of S = [[r, t'], [t, r']] obey right = J left X,
-    with J the permutation that swaps the two row blocks and applies X to
-    each, so R^dag R - I = X^T (L^dag L - I) X is the first product
-    permuted; only L^dag L - I and L^dag R are checked.  r and t must be
-    complex and C-ordered; they are made read-only in place, and without
-    exchange they are shared by the primed fields.
+    with J the unitary that swaps the two row blocks and applies X to each,
+    so R^dag R - I = X (L^dag L - I) X has the first product's spectral norm
+    (and is a permutation of it for the qubit exchange); only L^dag L - I
+    and L^dag R are checked.  r, t and mirror's results must be complex and
+    C-ordered; they are made read-only in place.
     """
-    if exchange is None:
-        r_prime, t_prime = r, t
-    else:
-        # One gather on the flattened matrices keeps the result C-ordered.
-        n = len(exchange)
-        flat = (exchange[:, None] * n + exchange).ravel()
-        r_prime, t_prime = (np.take(m.reshape(m.shape[:-2] + (n * n,)), flat, axis=-1)
-                            .reshape(m.shape) for m in (r, t))
+    r_prime, t_prime = (r, t) if mirror is None else (mirror(r), mirror(t))
     block = object.__new__(ScatterBlock)
     for name, m in (("r", r), ("t", t), ("r_prime", r_prime), ("t_prime", t_prime)):
         m.flags.writeable = False
@@ -396,7 +386,7 @@ def cascade(b1: ScatterBlock, b2: ScatterBlock, params: ScatterParams) -> Scatte
 
     Stacked blocks and grid params broadcast: the result holds one cascade
     per grid point, and every point is guarded; one resonant point refuses
-    the whole grid.
+    the whole grid.  It is the oracle of both pairs, built as _mirror_pair.
     """
     if b1.dim != b2.dim:
         raise ValueError("cascaded blocks must share a dimension")
@@ -413,31 +403,51 @@ def cascade(b1: ScatterBlock, b2: ScatterBlock, params: ScatterParams) -> Scatte
     return ScatterBlock(r=r_c, t=t_c, r_prime=rp_c, t_prime=tp_c)
 
 
+def _mirror_pair(r1, t1, r2, t2, params: ScatterParams, mirror) -> ScatterBlock:
+    """cascade of two pointlike scatterers (r' = r, t' = t) that the unitary
+    involution X of mirror (m -> X m X) maps onto each other.  The matrix
+    cascade inverts for right incidence is then X m1 X, and its r' and t'
+    are X r X and X t X, so only m1 is solved and guarded (X m1 X has m1's
+    singular values).  r and t are cascade's expressions on the same arrays
+    in the same association, so they equal cascade's bit for bit.
+    """
+    ph, ph2 = _phase_factors(params)
+    inv1 = _guarded_inverse(np.eye(r1.shape[-1], dtype=complex) - ph2 * (r1 @ r2))
+    t_c = ph * (t2 @ inv1 @ t1)
+    r_c = r1 + ph2 * (t1 @ r2 @ inv1 @ t1)
+    return _exchange_symmetric_block(r_c, t_c, mirror)
+
+
+def _exchange_qubits(m: np.ndarray) -> np.ndarray:
+    """X m X for the exchange X of q1 and q2 on (flying, q1, q2), C-ordered."""
+    return m.reshape(m.shape[:-2] + (2,) * 6).swapaxes(-5, -4).swapaxes(-2, -1).reshape(m.shape)
+
+
 def two_impurity_cascade(params: ScatterParams) -> ScatterBlock:
     """Cascade of two identical qubit impurities on (flying, q1, q2).
 
     Built afresh on every call; grid params give one stacked block per grid
     point.  Single points are better served by two_impurity_block.
 
-    Exchanging the static qubits (the permutation X) maps the first
-    impurity's lifted block onto the second's, and each impurity is
-    pointlike (r' = r, t' = t).  So the pair is mirror-symmetric: the
-    matrix cascade inverts for right incidence is X m1 X, and the cascade's
-    r' and t' are X r X and X t X.  Only m1 is solved and guarded (X m1 X
-    has m1's singular values), and the primed blocks are read off r and t
-    by one index gather each.  r and t are the expressions cascade
-    evaluates, on the same lifted arrays in the same association, so they
-    equal cascade(embed_block(q, "first"), embed_block(q, "second"), params)
-    bit for bit; the primed blocks differ from cascade's by rounding only.
+    Exchanging the static qubits maps one lifted impurity onto the other, so
+    the pair is a _mirror_pair under the exchange; r and t equal cascade's
+    of embed_block(q, "first") and embed_block(q, "second") bit for bit.
     """
     single = qubit_block(params)
-    r1, t1 = _embed4(single.r, "first"), _embed4(single.t, "first")
-    r2, t2 = _embed4(single.r, "second"), _embed4(single.t, "second")
-    ph, ph2 = _phase_factors(params)
-    inv1 = _guarded_inverse(np.eye(8, dtype=complex) - ph2 * (r1 @ r2))
-    t_c = ph * (t2 @ inv1 @ t1)
-    r_c = r1 + ph2 * (t1 @ r2 @ inv1 @ t1)
-    return _exchange_symmetric_block(r_c, t_c, _QUBIT_EXCHANGE)
+    lifted = [_embed4(m, which) for which in ("first", "second") for m in (single.r, single.t)]
+    return _mirror_pair(*lifted, params, _exchange_qubits)
+
+
+def frozen_pair(params: ScatterParams, theta) -> ScatterBlock:
+    """Cascade of a frozen spin along z and one at angle theta (a scalar or an
+    array) in the xz plane: a _mirror_pair under X = m . sigma, the pi
+    rotation about their bisector m = (sin theta/2, 0, cos theta/2).  r and
+    t equal cascade's of the two frozen_blocks bit for bit.
+    """
+    t1 = frozen_t(params, FrozenSpin.from_angles(0.0))
+    t2 = frozen_t(params, FrozenSpin.from_angles(theta))
+    x = n_dot_sigma(FrozenSpin.from_angles(np.asarray(theta) / 2.0).n_hat)
+    return _mirror_pair(t1 - _I2, t1, t2 - _I2, t2, params, lambda m: x @ m @ x)
 
 
 @lru_cache(maxsize=BLOCK_CACHE_SIZE)

@@ -204,6 +204,50 @@ def test_malformed_state_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("content, reason", [
+    (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (b'{"dim": 4, "re": [1], "im": [0]}', "need 16 entries for each part, got 1/1"),
+    (b'{"dim": "x", "re": [1], "im": [0]}', "invalid literal for int() with base 10: 'x'"),
+    (b"[1, 2]", "list indices must be integers or slices, not str"),
+])
+def test_malformed_state_file_is_named_exit_2(tmp_path, capsys, content, reason):
+    path = tmp_path / "state.json"
+    path.write_bytes(content)
+    assert run(["sweep", "--omega-range", "0.1:0.2:0.1", "--state", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"validation error: malformed state file {str(path)!r}: {reason}\n")
+
+
+def test_state_file_that_is_no_density_matrix_keeps_its_reason_exit_2(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"dim": 4, "re": [1] * 16, "im": [0] * 16}))
+    assert run(["sweep", "--omega-range", "0.1:0.2:0.1", "--state", str(path)]) == 2
+    assert capsys.readouterr() == ("", "validation error: trace differs from 1 by 3.000e+00\n")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--omega-range", "0.1:0.2:0.1", "--omega", "5", "--state", "singlet"], "omega"),
+    (["--kd-range", "0:0.1:0.1", "--omega", "1", "--state", "singlet", "--kd", "0.3"], "kd"),
+    (["--kd-range", "0:0.1:0.1", "--omega", "1", "--state", "singlet", "--kd", "0"], "kd"),
+    (["--theta-range", "0:1:0.5", "--omega", "1", "--state", "singlet"], "state"),
+])
+def test_sweep_flag_its_axis_does_not_read_exit_1(capsys, argv, flag):
+    assert run(["sweep", *argv]) == 1
+    axis = argv[0]
+    assert capsys.readouterr() == ("", f"usage error: {axis} sweeps do not read --{flag}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--omega-range", "0.1:0.3:0.1", "--state", "singlet"],
+    ["--theta-range", "0:1:0.5", "--omega", "1"],
+])
+def test_sweep_without_kd_runs_at_kd_0(capsys, argv):
+    assert run(["sweep", *argv]) == 0
+    absent = capsys.readouterr()
+    assert run(["sweep", *argv, "--kd", "0"]) == 0
+    assert capsys.readouterr() == absent
+
+
 def test_flat_design_exit_3(capsys):
     # A coupling-free ancilla design, and the two-qubit blind spot where the
     # unpolarized design scale vanishes: all 15 records are equal, which a

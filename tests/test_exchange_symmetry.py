@@ -79,4 +79,4 @@ def test_symmetric_block_refuses_what_the_public_constructor_refuses(lead, spoil
     with pytest.raises(ValueError, match="not unitary"):
         ScatterBlock(r=r, t=t, r_prime=exchanged(r), t_prime=exchanged(t))
     with pytest.raises(ValueError, match="not unitary"):
-        scatter._exchange_symmetric_block(r, t, np.array(EXCHANGE))
+        scatter._exchange_symmetric_block(r, t, exchanged)
