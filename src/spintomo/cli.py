@@ -51,7 +51,6 @@ from .scatter import (
     qubit_block,
     qubit_t_single,
     transmission_probability,
-    two_impurity_block,
     two_impurity_cascade,
 )
 
@@ -371,7 +370,7 @@ def _suite_two_impurity(rng):
         om = rng.uniform(0.05, 3.0)
         params = ScatterParams(om, 0.0)
         rho = random_density(4, rng)
-        block = two_impurity_block(params)
+        block = two_impurity_cascade(params)
         pt = transmission_probability(block, full_input_state(flying, rho))
         yield abs(pt - pt_unpolarized_closed_form(params, rho))
 
@@ -383,7 +382,7 @@ def _suite_basis_invariance(rng):
         kd = rng.uniform(0.0, 2.0 * np.pi)
         params = ScatterParams(om, kd)
         rho = random_density(4, rng)
-        block = two_impurity_block(params)
+        block = two_impurity_cascade(params)
         u = random_unitary(2, rng)
         uu = np.kron(u, u)
         rho_rot = DensityMatrix(uu @ rho.mat @ uu.conj().T)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -65,7 +66,6 @@ class Reservoir:
 
     kind: str
     axis: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
-    _state: DensityMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("polarized", "unpolarized"):
@@ -74,11 +74,13 @@ class Reservoir:
         n = n.copy()
         n.flags.writeable = False
         object.__setattr__(self, "axis", n)
-        state = polarized_qubit(n) if self.kind == "polarized" else maximally_mixed(2)
-        object.__setattr__(self, "_state", state)
+
+    @cached_property
+    def _state(self) -> DensityMatrix:
+        return polarized_qubit(self.axis) if self.kind == "polarized" else maximally_mixed(2)
 
     def state(self) -> DensityMatrix:
-        """The spin state the reservoir emits, built and validated once."""
+        """The spin state the reservoir emits, built and validated on first use."""
         return self._state
 
 

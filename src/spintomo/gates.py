@@ -66,9 +66,8 @@ def _named_gates() -> dict:
     }
     for ax in ("x", "y", "z"):
         mat = rotation_gate(ax, DEFAULT_ROTATION_ANGLE).matrix
-        g[f"R{ax}90"] = Gate(f"R{ax}90", mat, 1)
         # Bare rotation names default to the 90 degree gate.
-        g[f"R{ax}"] = Gate(f"R{ax}90", mat, 1)
+        g[f"R{ax}90"] = g[f"R{ax}"] = Gate(f"R{ax}90", mat, 1)
     return g
 
 

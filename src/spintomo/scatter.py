@@ -359,16 +359,13 @@ def _guarded_inverse(m: np.ndarray) -> np.ndarray:
     ResonantCascadeError where the SVD guard refuses m.  The guard first
     certifies m from the Frobenius norms of m and of its computed inverse,
     and runs the SVD only when that is inconclusive."""
-    ident = np.eye(m.shape[-1], dtype=complex)
     try:
-        inv = np.linalg.solve(m, ident)
+        inv = np.linalg.solve(m, np.eye(m.shape[-1], dtype=complex))
     except np.linalg.LinAlgError:
-        certified = False
-    else:
-        certified = _certified(m, inv)
-    if not certified:
         _svd_guard(m)
-        inv = np.linalg.solve(m, ident)
+        raise
+    if not _certified(m, inv):
+        _svd_guard(m)
     return inv
 
 
@@ -403,16 +400,18 @@ def cascade(b1: ScatterBlock, b2: ScatterBlock, params: ScatterParams) -> Scatte
     return ScatterBlock(r=r_c, t=t_c, r_prime=rp_c, t_prime=tp_c)
 
 
-def _mirror_pair(r1, t1, r2, t2, params: ScatterParams, mirror) -> ScatterBlock:
-    """cascade of two pointlike scatterers (r' = r, t' = t) that the unitary
-    involution X of mirror (m -> X m X) maps onto each other.  The matrix
-    cascade inverts for right incidence is then X m1 X, and its r' and t'
-    are X r X and X t X, so only m1 is solved and guarded (X m1 X has m1's
-    singular values).  r and t are cascade's expressions on the same arrays
-    in the same association, so they equal cascade's bit for bit.
+def _mirror_pair(t1, t2, params: ScatterParams, mirror) -> ScatterBlock:
+    """cascade of two pointlike scatterers (r = t - I, r' = r, t' = t) that
+    the unitary involution X of mirror (m -> X m X) maps onto each other.
+    The matrix cascade inverts for right incidence is then X m1 X, and its
+    r' and t' are X r X and X t X, so only m1 is solved and guarded (X m1 X
+    has m1's singular values).  r and t are cascade's expressions on the
+    same values in the same association, so they equal cascade's bit for bit.
     """
+    ident = np.eye(t1.shape[-1], dtype=complex)
+    r1, r2 = t1 - ident, t2 - ident
     ph, ph2 = _phase_factors(params)
-    inv1 = _guarded_inverse(np.eye(r1.shape[-1], dtype=complex) - ph2 * (r1 @ r2))
+    inv1 = _guarded_inverse(ident - ph2 * (r1 @ r2))
     t_c = ph * (t2 @ inv1 @ t1)
     r_c = r1 + ph2 * (t1 @ r2 @ inv1 @ t1)
     return _exchange_symmetric_block(r_c, t_c, mirror)
@@ -433,9 +432,8 @@ def two_impurity_cascade(params: ScatterParams) -> ScatterBlock:
     the pair is a _mirror_pair under the exchange; r and t equal cascade's
     of embed_block(q, "first") and embed_block(q, "second") bit for bit.
     """
-    single = qubit_block(params)
-    lifted = [_embed4(m, which) for which in ("first", "second") for m in (single.r, single.t)]
-    return _mirror_pair(*lifted, params, _exchange_qubits)
+    t = qubit_block(params).t
+    return _mirror_pair(_embed4(t, "first"), _embed4(t, "second"), params, _exchange_qubits)
 
 
 def frozen_pair(params: ScatterParams, theta) -> ScatterBlock:
@@ -447,7 +445,7 @@ def frozen_pair(params: ScatterParams, theta) -> ScatterBlock:
     t1 = frozen_t(params, FrozenSpin.from_angles(0.0))
     t2 = frozen_t(params, FrozenSpin.from_angles(theta))
     x = n_dot_sigma(FrozenSpin.from_angles(np.asarray(theta) / 2.0).n_hat)
-    return _mirror_pair(t1 - _I2, t1, t2 - _I2, t2, params, lambda m: x @ m @ x)
+    return _mirror_pair(t1, t2, params, lambda m: x @ m @ x)
 
 
 @lru_cache(maxsize=BLOCK_CACHE_SIZE)

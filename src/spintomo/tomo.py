@@ -126,6 +126,8 @@ class MeasurementSetting:
             raise ValueError("injector_sign must be +1 or -1")
         if self.marginal_target not in (None, "first", "second"):
             raise ValueError(f"marginal_target must be first/second, got {self.marginal_target!r}")
+        if self.marginal_target is not None and self.ancilla_axis is None:
+            raise ValueError("a marginal_target needs an ancilla_axis")
 
     @cached_property
     def _row(self) -> tuple:
@@ -449,24 +451,16 @@ def reconstruct_two_qubit(records, plan: TomographyPlan) -> tuple:
     return rho, decompose(rho), diagnostics
 
 
-def _unpolarized(params: ScatterParams, text: str) -> MeasurementSetting:
-    return MeasurementSetting(params=params, seq=g.parse_sequence(text), label=f"u:{text}")
-
-
-def _polarized(params: ScatterParams, spec: tuple) -> MeasurementSetting:
-    sign, axis, text = spec
+def _setting(params: ScatterParams, kind: str, spec) -> MeasurementSetting:
+    """One catalogue setting; an unpolarized spec is a polarized one without an injector."""
+    if kind == "anc":
+        axis, target = spec
+        return MeasurementSetting(params=params, ancilla_axis=axis, marginal_target=target,
+                                  label=f"anc:{axis}" + (f":{target}" if target else ""))
+    sign, axis, text = spec if kind == "pol" else ("+", None, spec)
     return MeasurementSetting(params=params, seq=g.parse_sequence(text), injector_axis=axis,
                               injector_sign=1 if sign == "+" else -1,
-                              label=f"pol:{sign}{axis}:{text}")
-
-
-def _ancilla(params: ScatterParams, spec: tuple) -> MeasurementSetting:
-    axis, target = spec
-    return MeasurementSetting(params=params, ancilla_axis=axis, marginal_target=target,
-                              label=f"anc:{axis}" + (f":{target}" if target else ""))
-
-
-_BUILDERS = {"u": _unpolarized, "pol": _polarized, "anc": _ancilla}
+                              label=f"u:{text}" if axis is None else f"pol:{sign}{axis}:{text}")
 
 
 def plan_standard(mode: str, params: ScatterParams) -> TomographyPlan:
@@ -487,7 +481,7 @@ def _standard_plan(mode: str, params: ScatterParams) -> TomographyPlan:
     if mode not in _CATALOGUE:
         raise ValueError(f"unknown mode {mode!r}")
     return TomographyPlan(mode=mode, settings=tuple(
-        _BUILDERS[kind](params, spec)
+        _setting(params, kind, spec)
         for kind, specs in _CATALOGUE[mode].items() for spec in specs))
 
 
@@ -744,13 +738,14 @@ def reconstruct_pure(records) -> PureStateFit:
     The best ket is reported in the gauge that makes the singlet amplitude
     real and nonnegative; if that amplitude is below 1e-6, the first larger
     component carries the zero phase instead.  Phases of components with
-    amplitude below 1e-6 are reported as unconstrained.  Noiseless records
-    that no start can fit indicate a non-pure input state and raise
-    PureFitError; so do noiseless records that two different states fit
-    equally well, as the plan cannot identify the state then.  One scan over
-    the fits and the complex conjugate of every fit finds the least similar
-    state that fits as well as the best (within 1e-9), and the refusal prints
-    its infidelity, 1 - overlap with the best fit, or "< 1e-6" below 1e-6.
+    amplitude below 1e-6 are reported as unconstrained, and all three when
+    only one component survives.  Noiseless records that no start can fit
+    indicate a non-pure input state and raise PureFitError; so do noiseless
+    records that two different states fit equally well, as the plan cannot
+    identify the state then.  One scan over the fits and the complex
+    conjugate of every fit finds the least similar state that fits as well
+    as the best (within 1e-9), and the refusal prints its infidelity,
+    1 - overlap with the best fit, or "< 1e-6" below 1e-6.
     A flat design raises FlatDesignError; ancilla records raise ValueError.
     """
     if any(r.setting.ancilla_axis is not None for r in records):
@@ -800,16 +795,12 @@ def reconstruct_pure(records) -> PureStateFit:
 
     params = _ket_params(best)
     amps = (params.a1, params.a2, params.a3, params.a4)
-    unconstrained = [name for amp, name in
-                     zip((amps[0], amps[1], amps[3]), ("th1", "th2", "th4"))
-                     if amp < UNCONSTRAINED_AMPLITUDE]
-    if amps[2] < UNCONSTRAINED_AMPLITUDE and len(unconstrained) == 2:
-        # Without a singlet component the phases are only fixed relative to
-        # each other; a lone surviving component keeps a pure gauge phase.
-        unconstrained = ["th1", "th2", "th4"]
-    unconstrained.sort()
+    # A lone surviving component keeps only a pure gauge phase.
+    lone = sum(amp >= UNCONSTRAINED_AMPLITUDE for amp in amps) == 1
+    unconstrained = tuple(f"th{k}" for k in (1, 2, 4)
+                          if lone or amps[k - 1] < UNCONSTRAINED_AMPLITUDE)
     return PureStateFit(params=params, residual=best_res,
-                        branch_gap=branch_gap, unconstrained=tuple(unconstrained))
+                        branch_gap=branch_gap, unconstrained=unconstrained)
 
 
 # JSON serialization of settings, records and plans.  Gate sequences use the

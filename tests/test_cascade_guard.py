@@ -241,3 +241,19 @@ def test_unitarity_check_refuses_nan_in_any_block():
         blocks[name][1, 0, 0] = np.nan
         with pytest.raises(ValueError, match="not unitary: deviation nan"):
             ScatterBlock(**blocks)
+
+
+@pytest.mark.parametrize("params", [ScatterParams(0.8, 0.3),
+                                    ScatterParams(np.linspace(0.2, 1.4, 60), 0.4)])
+def test_uncertified_points_keep_their_one_solve(monkeypatch, params):
+    # The SVD guard only decides; the inverse is the first solve's.
+    monkeypatch.setattr(scatter, "_certified", lambda m, inv: False)
+    solves = _count_calls(monkeypatch, np.linalg, "solve")
+    two_impurity_cascade(params)
+    assert len(solves) == 1
+
+
+def test_an_exactly_singular_matrix_is_refused_by_the_svd_guard():
+    # solve raises LinAlgError on it; the guard names the resonance instead.
+    with pytest.raises(ResonantCascadeError, match="^resonant cascade: "):
+        scatter._guarded_inverse(np.zeros((2, 2), dtype=complex))

@@ -655,3 +655,60 @@ def test_nan_state_file_is_invalid(tmp_path, capsys):
                 "--state", str(path)]) == 2
     assert run(["sweep", "--omega-range", "0.5:1:0.5", "--state", str(path)]) == 2
     assert capsys.readouterr().err.count("validation error: not Hermitian") == 2
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["sweep", "--omega-range", "0:x:1", "--state", "singlet"],
+     "bad range '0:x:1': could not convert string to float: 'x'"),
+    (["tomo", "--mode", "pure_state", "--state", "pure:1,0,0,0,0,0,x"],
+     "pure: could not convert string to float: 'x'"),
+    (["tomo", "--mode", "single_qubit_ancilla", "--state", "bloch:0,y,0"],
+     "bloch: could not convert string to float: 'y'"),
+    (["tomo", "--mode", "two_qubit_gates", "--state", "werner:2"],
+     "werner: werner weight must lie in [0, 1], got 2.0"),
+    (["tomo", "--mode", "two_qubit_gates", "--state", "random:x"],
+     "random generator needs an integer seed, got 'x'"),
+    (["tomo", "--mode", "pure_state", "--state", "pure:1,1,0,0,0,0,0"],
+     "pure: amplitudes must be normalized, got sum of squares 2.0"),
+    (["sweep", "--theta-range", "0:1:0.5"], "--theta-range sweeps need --omega"),
+    (["sweep", "--kd-range", "0:1:0.5", "--state", "singlet"], "--kd-range sweeps need --omega"),
+])
+def test_unreadable_flag_values_exit_1(capsys, argv, err):
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", f"usage error: {err}\n")
+
+
+@pytest.mark.parametrize("mode, dim", [("two_qubit_gates", 4), ("two_qubit_polarized", 4),
+                                       ("single_qubit_ancilla", 2)])
+def test_tomo_round_trips_the_mixed_state(tmp_path, mode, dim):
+    out = tmp_path / "mixed.json"
+    assert run(["tomo", "--mode", mode, "--state", "mixed", "--omega", "1.3", "--kd", "0.6",
+                "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    np.testing.assert_allclose(rep["truth"]["re"], (np.eye(dim) / dim).ravel(), atol=0)
+    assert rep["trace_distance"] < 1e-9
+
+
+@pytest.mark.parametrize("axis, flags", [("kd", ["--omega", "1", "--state", "singlet"]),
+                                         ("omega", ["--state", "singlet"]),
+                                         ("theta", ["--omega", "1"])])
+def test_sweep_range_from_below_zero_needs_the_equals_form(capsys, axis, flags):
+    # argparse reads "-1:..." after a space as a flag, not as the range.
+    assert run(["sweep", f"--{axis}-range", "-1:-0.5:0.25", *flags]) == 1
+    assert capsys.readouterr().err == (
+        f"usage error: argument --{axis}-range: expected one argument\n")
+    assert run(["sweep", f"--{axis}-range=-1:-0.5:0.25", *flags]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    column = header.split(",").index(axis)
+    assert [float(row.split(",")[column]) for row in rows] == [-1.0, -0.75, -0.5]
+
+
+def test_validate_leaves_the_block_cache_alone():
+    # Its one-off random points build uncached blocks; the first run may add
+    # the standard plans' shared block, and a second run touches nothing.
+    from spintomo.scatter import two_impurity_block
+    cli.run_validation()
+    before = two_impurity_block.cache_info()
+    report = cli.run_validation()
+    assert two_impurity_block.cache_info() == before
+    assert all(suite["passed"] for suite in report.values())

@@ -301,3 +301,24 @@ def test_engine_guards_refuse_nan(monkeypatch):
         eng.bloch_map(reservoir, config)
     with pytest.raises(RuntimeError, match="trace preservation by nan"):
         eng.interact_once(maximally_mixed(2), reservoir, config)
+
+
+def test_run_cycle_builds_no_reservoir_state(monkeypatch):
+    # A cycle iterates Bloch maps, read off each reservoir's axis; only a
+    # density-matrix collision reads the emitted state, built once.
+    built = []
+
+    def counting(make):
+        return lambda *args: built.append(make.__name__) or make(*args)
+
+    monkeypatch.setattr(eng, "polarized_qubit", counting(polarized_qubit))
+    monkeypatch.setattr(eng, "maximally_mixed", counting(maximally_mixed))
+    trace = eng.run_cycle(maximally_mixed(2), _config(0.8))
+    assert trace.fm_converged and trace.nm_converged
+    assert built == []
+    reservoirs = (eng.Reservoir("polarized", axis=[1.0, 0.0, 0.0]), eng.Reservoir("unpolarized"))
+    for _ in range(3):
+        for reservoir in reservoirs:
+            eng.interact_once(maximally_mixed(2), reservoir, _config(0.8))
+    assert built == ["polarized_qubit", "maximally_mixed"]
+    assert reservoirs[0].state() is reservoirs[0].state()
